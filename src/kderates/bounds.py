@@ -8,7 +8,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -26,7 +25,6 @@ __all__ = [
     "empirical_covering",
     "combined_envelope",
     "bound_report",
-    "write_bound_report",
 ]
 
 
@@ -220,11 +218,3 @@ def bound_report(spec: BoundSpec) -> dict:
         except ValueError as exc:
             report["combined_envelope"] = {"error": str(exc)}
     return report
-
-
-def write_bound_report(report: dict, path) -> None:
-    from .harness import dumps_17g  # deferred: shared float formatting
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_17g(report))
-        fh.write("\n")

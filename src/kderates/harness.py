@@ -282,7 +282,7 @@ class DeviationReport:
     @classmethod
     def from_dict(cls, data: dict) -> "DeviationReport":
         cells = [
-            DeviationCell(int(c["n"]), float(c["h"]), np.asarray(c["sups"], dtype=float), _parse_float(c["disc_bound"]))
+            DeviationCell(int(c["n"]), float(c["h"]), np.asarray(c["sups"], dtype=float), float(c["disc_bound"]))
             for c in data["cells"]
         ]
         return cls(
@@ -322,12 +322,6 @@ class DeviationReport:
             for c in self.cells:
                 for r, v in enumerate(c.sups):
                     fh.write(f"{c.n},{c.h:.17g},{r},{v:.17g}\n")
-
-
-def _parse_float(v) -> float:
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
 
 
 def _deviation_task(args) -> tuple[int, int, np.ndarray]:

@@ -5,9 +5,11 @@
 #
 # Conventions:
 #   All built-in kernels are radial: K(x) = profile(||x||) with profile
-#   nonincreasing on [0, inf).  The Gaussian is the only built-in with
-#   derivatives; D^s K factorizes per coordinate through probabilists'
-#   Hermite polynomials: d^k/dt^k phi(t) = (-1)^k He_k(t) phi(t).
+#   nonincreasing on [0, inf).  Each kernel defines its profile once, as a
+#   function of the squared distance r^2 (Kernel.profile_sq); the distance
+#   form Kernel.profile(r) is built on it.  The Gaussian is the only
+#   built-in with derivatives; D^s K factorizes per coordinate through
+#   probabilists' Hermite polynomials: d^k/dt^k phi(t) = (-1)^k He_k(t) phi(t).
 
 from __future__ import annotations
 
@@ -101,6 +103,20 @@ def _herme_coeffs(k: int) -> tuple[float, ...]:
     return tuple(c)
 
 
+@lru_cache(maxsize=None)
+def _gaussian_deriv_monomials(orders: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """D^s K(t) = sum of c * prod_j t_j^e_j * K(t) over the returned (e, c), for the Gaussian K.
+
+    The polynomial is prod_j (-1)^s_j He_s_j(t_j), with zero terms dropped;
+    s = 0 gives the single constant term.
+    """
+    axes = []
+    for k in orders:
+        coeffs = (-1.0) ** k * hermite_e.herme2poly(_herme_coeffs(k))
+        axes.append([(e, float(c)) for e, c in enumerate(coeffs) if c != 0.0])
+    return tuple((tuple(e for e, _ in combo), math.prod(c for _, c in combo)) for combo in _iterproduct(*axes))
+
+
 def _phi_deriv(k: int, t: np.ndarray) -> np.ndarray:
     """k-th derivative of the standard normal density, vectorized."""
     t = np.asarray(t, dtype=float)
@@ -123,7 +139,10 @@ class Kernel:
     """A bounded kernel on R^d with sup norm, Lipschitz constant and tail profile.
 
     Built-in forms are radial (K(x) = profile(||x||) with a nonincreasing
-    profile), so tail suprema reduce to profile evaluation.  Only the
+    profile), so tail suprema reduce to profile evaluation.  The profile is
+    supplied as ``profile_sq(r2, h, out=None)``: the value
+    profile(sqrt(r2) / h) at squared distance r2 for bandwidth h, written
+    into ``out`` when given (it may be r2 itself) and returned.  Only the
     Gaussian supports partial derivatives (of any order).
 
     Parameters are normally supplied through the factory classmethods
@@ -135,22 +154,28 @@ class Kernel:
         self,
         form: str,
         dim: int,
-        profile: Callable[[np.ndarray], np.ndarray],
+        profile_sq: Callable[[np.ndarray, float, np.ndarray | None], np.ndarray],
         sup_norm: float,
         lipschitz: float | None,
         deriv_support: float,
         support_radius: float | None,
         vc_params: tuple[float, float] | None = None,
+        negligible_r2: float = math.inf,
     ):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.form = form
         self.dim = int(dim)
-        self._profile = profile
+        self._profile_sq = profile_sq
         self.sup_norm = float(sup_norm)
         self.lipschitz = None if lipschitz is None else float(lipschitz)
         self.deriv_support = deriv_support
         self.support_radius = support_radius
+        # Squared radius (in bandwidths) from which the profile is below
+        # 1e-260 of its peak but still a normal double.  kde_table evaluates
+        # farther pairs at this radius, which keeps exp out of its underflow
+        # range, where it runs about ten times slower.
+        self.negligible_r2 = float(negligible_r2)
         # (A, nu) metadata for the uniformly-bounded-VC covering bound; the
         # values are user-supplied, not computed (no algorithm is known to us).
         self.vc_params = vc_params
@@ -164,42 +189,44 @@ class Kernel:
     def gaussian(cls, dim: int) -> "Kernel":
         norm = (2.0 * math.pi) ** (-dim / 2.0)
 
-        def profile(r, _norm=norm):
-            return _norm * np.exp(-0.5 * np.square(np.asarray(r, dtype=float)))
+        def profile_sq(r2, h, out=None, _norm=norm):
+            u = np.multiply(r2, -0.5 / (h * h), out=out)
+            return np.multiply(np.exp(u, out=out), _norm, out=out)
 
         # |grad K| = ||x|| K(x), maximized on the unit sphere.
         lip = norm * math.exp(-0.5)
-        return cls("gaussian", dim, profile, norm, lip, math.inf, None)
+        # beyond r^2 = 1200 the profile is below exp(-600) * K(0) ~ 2.7e-261 * K(0)
+        return cls("gaussian", dim, profile_sq, norm, lip, math.inf, None, negligible_r2=1200.0)
 
     @classmethod
     def epanechnikov(cls, dim: int) -> "Kernel":
         c = (dim + 2.0) / (2.0 * unit_ball_volume(dim))
 
-        def profile(r, _c=c):
-            r = np.asarray(r, dtype=float)
-            return _c * np.clip(1.0 - np.square(r), 0.0, None)
+        def profile_sq(r2, h, out=None, _c=c):
+            u = np.subtract(1.0, np.divide(r2, h * h, out=out), out=out)
+            return np.multiply(np.maximum(u, 0.0, out=out), _c, out=out)
 
-        return cls("epanechnikov", dim, profile, c, 2.0 * c, 0, 1.0)
+        return cls("epanechnikov", dim, profile_sq, c, 2.0 * c, 0, 1.0)
 
     @classmethod
     def uniform(cls, dim: int) -> "Kernel":
         c = 1.0 / unit_ball_volume(dim)
 
-        def profile(r, _c=c):
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= 1.0, _c, 0.0)
+        def profile_sq(r2, h, out=None, _c=c):
+            # closed ball r <= h, compared in squares: no rounding moves the boundary
+            return np.multiply(np.less_equal(r2, h * h), _c, out=out)
 
-        return cls("uniform", dim, profile, c, None, 0, 1.0)
+        return cls("uniform", dim, profile_sq, c, None, 0, 1.0)
 
     @classmethod
     def triangular(cls, dim: int) -> "Kernel":
         c = (dim + 1.0) / unit_ball_volume(dim)
 
-        def profile(r, _c=c):
-            r = np.asarray(r, dtype=float)
-            return _c * np.clip(1.0 - r, 0.0, None)
+        def profile_sq(r2, h, out=None, _c=c):
+            u = np.subtract(1.0, np.divide(np.sqrt(r2, out=out), h, out=out), out=out)
+            return np.multiply(np.maximum(u, 0.0, out=out), _c, out=out)
 
-        return cls("triangular", dim, profile, c, c, 0, 1.0)
+        return cls("triangular", dim, profile_sq, c, c, 0, 1.0)
 
     @classmethod
     def custom_radial(
@@ -227,13 +254,29 @@ class Kernel:
         if lipschitz is None:
             slopes = np.abs(np.diff(vals)) / (grid[1] - grid[0])
             lipschitz = float(slopes.max()) if slopes.size else 0.0
-        return cls("custom_radial", dim, profile, sup, lipschitz, 0, support_radius)
+
+        def profile_sq(r2, h, out=None):
+            vals = profile(np.sqrt(r2) / h)
+            if out is None:
+                return vals
+            out[...] = vals
+            return out
+
+        return cls("custom_radial", dim, profile_sq, sup, lipschitz, 0, support_radius)
 
     # -- evaluation -------------------------------------------------------
 
+    def profile_sq(self, r2, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+        """Radial value profile(sqrt(r2) / h) at squared distance r2 for bandwidth h.
+
+        Writes into ``out`` when given (it may be ``r2`` itself, for an
+        in-place evaluation).
+        """
+        return self._profile_sq(np.asarray(r2, dtype=float), float(h), out)
+
     def profile(self, r) -> np.ndarray:
         """Radial value at distance r (vectorized)."""
-        return self._profile(r)
+        return self._profile_sq(np.square(np.asarray(r, dtype=float)), 1.0)
 
     def _check_point(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -246,12 +289,12 @@ class Kernel:
     def eval(self, u) -> float:
         """K(u) for a single point u in R^d."""
         u = self._check_point(u)
-        return float(self._profile(np.linalg.norm(u)))
+        return float(self.profile(np.linalg.norm(u)))
 
     def eval_many(self, U: np.ndarray) -> np.ndarray:
         """K at each row of U, shape (m, d)."""
         U = np.asarray(U, dtype=float)
-        return self._profile(np.linalg.norm(U, axis=-1))
+        return self.profile(np.linalg.norm(U, axis=-1))
 
     def deriv_eval(self, s, u) -> float:
         """D^s K(u); s = 0 coincides with eval."""
@@ -297,7 +340,7 @@ class Kernel:
             raise ValueError("t must be nonnegative")
         s = MultiIndex.coerce(s, self.dim)
         if s.is_zero():
-            return float(self._profile(t))
+            return float(self.profile(t))
         self._require_deriv(s)
         return _gaussian_deriv_shell_sup(s.orders, float(t))
 

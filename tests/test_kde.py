@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 
 from kderates.distributions import PointMasses, UniformCircle, UniformCube
 from kderates.kde import (
@@ -120,6 +122,87 @@ class TestBatchConsistency:
         for i, h in enumerate(hs):
             for j in range(X.shape[0]):
                 assert table[i, j] == kde_deriv_eval(sample, GAUSS2, (1, 0), float(h), X[j])
+
+
+def _direct_gauss_table(sample, h_values, X, s):
+    """D^s p-hat by a double loop over (h, x): prod_j (-1)^s_j He_s_j(u_j) phi(u_j), summed over the sample."""
+    n, d = sample.shape
+    out = np.empty((len(h_values), X.shape[0]))
+    for i, h in enumerate(h_values):
+        for j, x in enumerate(X):
+            u = (x - sample) / h
+            terms = np.exp(-0.5 * (u * u).sum(axis=1)) / (2.0 * math.pi) ** (d / 2.0)
+            for k, order in enumerate(s):
+                terms = terms * hermite_e.hermeval(u[:, k], [0.0] * order + [(-1.0) ** order])
+            out[i, j] = terms.sum() / (n * h ** (d + sum(s)))
+    return out
+
+
+class TestGaussianTableVsDirectSums:
+    H = (0.01, 0.03, 0.05, 0.4)
+
+    def _check(self, n, m, s, seed):
+        d = len(s)
+        rng = np.random.default_rng(seed)
+        sample = rng.random((n, d))
+        X = rng.random((m, d))
+        got = kde_table(sample, Kernel.gaussian(d), self.H, X, s=s)
+        want = _direct_gauss_table(sample, self.H, X, s)
+        for i in range(len(self.H)):
+            assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max(), f"h = {self.H[i]}"
+
+    # n = 3000, m = 50: a chunk holds several rows, and 50 is no multiple of the rows per chunk
+    @pytest.mark.parametrize("s", [(0,), (0, 0), (1,), (1, 0), (0, 2), (2, 1)])
+    def test_several_rows_per_chunk(self, s):
+        self._check(3_000, 50, s, seed=sum(s) + 10 * len(s))
+
+    # n >= 65536: one row per chunk
+    @pytest.mark.parametrize("s", [(0, 0), (1,), (2, 1)])
+    def test_one_row_per_chunk(self, s):
+        self._check(70_000, 5, s, seed=7 + sum(s))
+
+
+def _closed_profile(r):
+    r = np.asarray(r, dtype=float)
+    return np.where(r <= 1.0, 1.0 - 0.5 * r, 0.0)
+
+
+class TestCompactBoundaries:
+    """Sample points at distance exactly h and h/2: the r^2 profile keeps each kernel's boundary."""
+
+    # (kernel, its profile as a function of r)
+    CASES = [
+        pytest.param(k, k.profile, id=k.form)
+        for k in (Kernel.epanechnikov(2), Kernel.uniform(2), Kernel.triangular(2))
+    ] + [pytest.param(Kernel.custom_radial(2, _closed_profile, support_radius=1.0), _closed_profile, id="custom")]
+
+    @pytest.mark.parametrize("kern, profile", CASES)
+    @pytest.mark.parametrize("h", [0.25, 0.3])
+    def test_equals_sum_of_profile_in_r(self, kern, profile, h):
+        x = np.array([0.0, 0.0])
+        offsets = [h, h / 2.0, 2.0 * h]
+        sample = np.array([[c * sign, 0.0] for c in offsets for sign in (1, -1)] + [[0.0, c] for c in offsets])
+        r = np.linalg.norm(x - sample, axis=1)
+        want = profile(r / h).sum() / (sample.shape[0] * h**2)
+        assert kde_table(sample, kern, [h], x[None, :])[0, 0] == want
+        # the points at distance exactly h are inside the closed balls of the uniform and custom kernels
+        if kern.form in ("uniform", "custom_radial"):
+            assert np.count_nonzero(profile(r / h)) == 6
+
+
+def test_kde_table_memory_stays_small():
+    # the tracemalloc peak of one call: chunk buffers, not a pairwise table
+    dist = UniformCube(2)
+    sample = dist.sample(100_000, seed=17)
+    X = make_eval_grid(dist, 225).points
+    h = BandwidthGrid.log_spaced(0.05, 0.4, n_points=12).values
+    tracemalloc.start()
+    try:
+        kde_table(sample, GAUSS2, h, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestIntegration:
