@@ -4,6 +4,12 @@
 # box-counting dimension (greedy covers) and correlation dimension
 # (pairwise-distance counts).
 #
+# Every empirical count comes from one scipy k-d tree per sample, reused
+# across radii: open balls d2 < r*r for the volume dimension, closed balls
+# d2 <= r*r for greedy covers and pair counts.  The tree sums d2 coordinate
+# by coordinate, as ((x - y)**2).sum() does, so its counts equal those of a
+# brute-force scan (the tests pin this in d = 1, 2, 3).
+#
 # The limiting definitions carry no finite-sample recipe; the estimators
 # here are windowed log-log slopes, and every fit reports its maximal
 # log-residual so pre-asymptotic curvature is visible to the caller.
@@ -15,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .distributions import ReferenceDistribution
 
@@ -31,10 +38,6 @@ __all__ = [
     "write_radius_sweep_csv",
     "write_rate_fit_csv",
 ]
-
-_BUCKET_THRESHOLD = 100_000
-_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -93,36 +96,19 @@ def dyadic_radii(diameter: float, j_min: int = 3, j_max: int = 8, per_octave: in
 def _empirical_counts(sample: np.ndarray, X: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Counts of sample points strictly inside B(x, r); shape (len(radii), len(X)).
 
-    Exact linear scan below the bucket threshold; above it, a grid-bucket
-    index with identical output.
+    The tree counts closed balls.  The closed count at the float below r
+    never exceeds the open count at r, and the closed count at r never falls
+    below it; where the two differ, a point lies within a few ulps of the
+    sphere and the query is recounted with the exact test d2 < r*r.
     """
-    n = sample.shape[0]
-    if n <= _BUCKET_THRESHOLD:
-        out = np.zeros((radii.size, X.shape[0]), dtype=np.int64)
-        for lo in range(0, X.shape[0], _CHUNK):
-            hi = min(lo + _CHUNK, X.shape[0])
-            diff = X[lo:hi, None, :] - sample[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            for i, r in enumerate(radii):
-                out[i, lo:hi] = (d2 < r * r).sum(axis=1)
-        return out
-    out = np.zeros((radii.size, X.shape[0]), dtype=np.int64)
+    tree = cKDTree(sample)
+    out = np.empty((radii.size, X.shape[0]), dtype=np.int64)
     for i, r in enumerate(radii):
-        cells: dict[tuple, list[int]] = {}
-        keys = np.floor(sample / r).astype(np.int64)
-        for idx, key in enumerate(map(tuple, keys)):
-            cells.setdefault(key, []).append(idx)
-        d = sample.shape[1]
-        offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        for j, x in enumerate(X):
-            base = np.floor(x / r).astype(np.int64)
-            cand: list[int] = []
-            for off in offsets:
-                cand.extend(cells.get(tuple(base + off), ()))
-            if cand:
-                pts = sample[np.asarray(cand)]
-                d2 = ((pts - x) ** 2).sum(axis=1)
-                out[i, j] = int((d2 < r * r).sum())
+        out[i] = tree.query_ball_point(X, np.nextafter(r, 0.0), return_length=True)
+        closed = tree.query_ball_point(X, r, return_length=True)
+        for j in np.flatnonzero(out[i] != closed):
+            near = sample[tree.query_ball_point(X[j], r)]
+            out[i, j] = np.count_nonzero(((near - X[j]) ** 2).sum(axis=1) < r * r)
     return out
 
 
@@ -178,17 +164,14 @@ def assumption_check(dist: ReferenceDistribution, x_grid, radii, nu: float) -> d
     return {"max_ratio": float(ratios.max()), "min_liminf_ratio": float(per_x_min.max())}
 
 
-def _greedy_cover_count(sample: np.ndarray, delta: float) -> int:
-    """Greedy ball cover with centers at the lowest-index uncovered points."""
-    n = sample.shape[0]
-    alive = np.arange(n)
+def _greedy_cover_count(tree: cKDTree, delta: float) -> int:
+    """Greedy closed-ball cover with centers at the lowest-index uncovered points."""
+    covered = np.zeros(tree.n, dtype=bool)
     count = 0
-    d2max = delta * delta
-    while alive.size:
-        center = sample[alive[0]]
-        count += 1
-        d2 = ((sample[alive] - center) ** 2).sum(axis=1)
-        alive = alive[d2 > d2max]
+    for i in range(tree.n):
+        if not covered[i]:
+            count += 1
+            covered[tree.query_ball_point(tree.data[i], delta)] = True
     return count
 
 
@@ -198,7 +181,8 @@ def box_dimension_estimate(sample, delta_grid) -> RateFit:
     deltas = np.sort(np.asarray(delta_grid, dtype=float))[::-1]
     if deltas.size < 4:
         raise ValueError("need at least 4 deltas")
-    counts = np.array([_greedy_cover_count(sample, float(dl)) for dl in deltas], dtype=float)
+    tree = cKDTree(sample)
+    counts = np.array([_greedy_cover_count(tree, float(dl)) for dl in deltas], dtype=float)
     if np.all(counts == 1):
         warnings.warn("degenerate sample: greedy cover is a single ball at every delta")
         return RateFit(0.0, 0.0, (float(deltas.min()), float(deltas.max())), 0.0, int(deltas.size))
@@ -221,19 +205,8 @@ def correlation_dimension_estimate(sample, r_grid) -> RateFit:
     radii = np.sort(np.asarray(r_grid, dtype=float))
     if radii.size < 4:
         raise ValueError("need at least 4 radii")
-    edges = np.concatenate([[0.0], radii])
-    hist = np.zeros(radii.size, dtype=np.int64)
-    chunk = max(1, _CHUNK * 64 // max(1, n // 1000))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = sample[lo:hi, None, :] - sample[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        # keep strict upper-triangle pairs only
-        cols = np.arange(n)[None, :]
-        rows = np.arange(lo, hi)[:, None]
-        vals = d[cols > rows]
-        hist += np.histogram(vals, bins=edges)[0]
-    counts = np.cumsum(hist).astype(float)
+    tree = cKDTree(sample)
+    counts = (tree.count_neighbors(tree, radii) - n) / 2  # ordered pairs, self-pairs removed
     fracs = counts / (n * (n - 1) / 2.0)
     keep = fracs > 0
     if not keep.all():

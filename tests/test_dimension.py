@@ -97,22 +97,49 @@ class TestVoldim:
         assert moved.slope == pytest.approx(base.slope, abs=1e-10)
 
 
-class TestEmpiricalCounts:
-    def test_bucket_index_matches_linear_scan(self):
-        rng = np.random.default_rng(4)
-        sample = rng.random((3000, 2))
-        X = rng.random((25, 2))
-        radii = np.array([0.05, 0.1, 0.2])
-        import kderates.dimension as dim
+def brute_sq_dists(X, sample):
+    """Squared distances summed coordinate by coordinate, shape (len(X), len(sample))."""
+    return sum((X[:, None, k] - sample[None, :, k]) ** 2 for k in range(sample.shape[1]))
 
-        linear = _empirical_counts(sample, X, radii)
-        old = dim._BUCKET_THRESHOLD
-        try:
-            dim._BUCKET_THRESHOLD = 10
-            bucketed = _empirical_counts(sample, X, radii)
-        finally:
-            dim._BUCKET_THRESHOLD = old
-        assert np.array_equal(linear, bucketed)
+
+def gap_point_2d(x0, r, seed=0):
+    """A 2-D point whose d2 to x0 lies strictly between fl(nextafter(r, 0)^2) and fl(r^2)."""
+    lo, hi = np.nextafter(r, 0.0) ** 2, r * r
+    t = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 10_000)
+    pts = x0 + r * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    d2 = brute_sq_dists(x0[None, :], pts)[0]
+    inside = np.flatnonzero((d2 > lo) & (d2 < hi))
+    assert inside.size, "no gap point found"
+    return pts[inside[0]]
+
+
+class TestEmpiricalCounts:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tree_matches_brute_force(self, d):
+        rng = np.random.default_rng(40 + d)
+        r = 0.3  # fl(nextafter(r, 0)^2) is at least 2 ulps below fl(r^2)
+        assert np.nextafter(r * r, 0.0) > np.nextafter(r, 0.0) ** 2
+        x0 = np.zeros(d)
+        eye = np.eye(d)
+        special = [r * eye, -r * eye, 0.5 * r * eye]  # at exactly r (excluded) and at r/2 (included)
+        if d == 2:
+            special.append(gap_point_2d(x0, r)[None, :])
+        bulk = rng.uniform(-0.6, 0.6, (2000, d))
+        sample = np.vstack(special + [bulk])
+        X = np.vstack([x0, rng.uniform(-0.6, 0.6, (30, d))])
+        radii = np.array([r, 0.05, 0.125, 0.6])
+        got = _empirical_counts(sample, X, radii)
+        d2 = brute_sq_dists(X, sample)
+        want = np.array([(d2 < rr * rr).sum(axis=1) for rr in radii])
+        assert np.array_equal(got, want)
+        n_inside = d + (d == 2)  # the r/2 points, plus the gap point in 2-D
+        bulk_inside = np.count_nonzero(brute_sq_dists(x0[None, :], bulk)[0] < r * r)
+        assert got[0, 0] == n_inside + bulk_inside
+
+    def test_mismatched_dimensions_raise(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError):
+            voldim_sweep(rng.random((1000, 2)), [[0.5], [0.2]], [0.1, 0.2])
 
 
 class TestAssumptionCheck:
@@ -136,7 +163,35 @@ class TestAssumptionCheck:
         assert out["min_liminf_ratio"] > 0
 
 
+def greedy_cover_reference(sample, delta):
+    """Lowest-index greedy cover by closed balls, rescanning the uncovered set."""
+    alive = np.arange(sample.shape[0])
+    count = 0
+    while alive.size:
+        center = sample[alive[0]]
+        count += 1
+        d2 = ((sample[alive] - center) ** 2).sum(axis=1)
+        alive = alive[d2 > delta * delta]
+    return count
+
+
+def loglog_fit_tuple(lx, counts):
+    ly = np.log(np.asarray(counts, dtype=float))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return float(slope), float(intercept), float(np.max(np.abs(ly - (slope * lx + intercept))))
+
+
 class TestBoxDimension:
+    def test_covers_match_reference(self):
+        rng = np.random.default_rng(12)
+        g = 0.125 * np.arange(12)
+        lattice = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)  # points at exactly delta
+        sample = np.vstack([lattice, rng.random((3000, 2)) * 1.4])
+        deltas = np.array([1.0, 0.5, 0.25, 0.125, 0.05])
+        fit = box_dimension_estimate(sample, deltas)
+        want = loglog_fit_tuple(-np.log(deltas), [greedy_cover_reference(sample, dl) for dl in deltas])
+        assert (fit.slope, fit.intercept, fit.residual) == want
+
     def test_segment_in_plane(self):
         t = np.linspace(0.0, 1.0, 20_000)
         sample = np.stack([t, 0.3 * np.ones_like(t)], axis=-1)
@@ -163,6 +218,24 @@ class TestBoxDimension:
 
 
 class TestCorrelationDimension:
+    @pytest.mark.parametrize("kind", ["lattice", "random3d"])
+    def test_pair_counts_match_brute_force(self, kind):
+        if kind == "lattice":  # pairs at exactly each radius, which count
+            g = 0.25 * np.arange(12)
+            sample = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+            radii = np.array([0.25, 0.5, 0.75, 1.0])
+        else:
+            sample = np.random.default_rng(13).random((400, 3))
+            radii = np.geomspace(0.05, 0.5, 6)
+        n = sample.shape[0]
+        d2 = brute_sq_dists(sample, sample)
+        iu = np.triu_indices(n, 1)
+        pairs = np.array([(d2[iu] <= r * r).sum() for r in radii])
+        if kind == "lattice":
+            assert pairs[0] == 2 * 12 * 11
+        fit = correlation_dimension_estimate(sample, radii)
+        assert (fit.slope, fit.intercept, fit.residual) == loglog_fit_tuple(np.log(radii), pairs / (n * (n - 1) / 2.0))
+
     def test_circle_slope(self):
         sample = UniformCircle(1.0).sample(20_000, seed=22)
         fit = correlation_dimension_estimate(sample, np.geomspace(0.01, 0.2, 8))
