@@ -335,3 +335,117 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.csv").exists()
+
+
+# -- golden artifacts ---------------------------------------------------------------
+
+_CUBE2 = {"kind": "uniform_cube", "dim": 2}
+_CIRCLE = {"kind": "uniform_circle", "radius": 1.0}
+_GAUSS2 = {"form": "gaussian", "dim": 2}
+
+
+def _golden_rate(mode, distribution, kernel, **extra):
+    cfg = {
+        "mode": mode,
+        "distribution": distribution,
+        "kernel": kernel,
+        "n_list": [2000],
+        "h_grid": {"l_n": 0.08, "h_max": 0.4, "n_points": 3},
+        "x_grid": {"target_size": 40},
+        "replicates": 2,
+        "base_seed": 41,
+    }
+    cfg.update(extra)
+    return cfg
+
+
+# Each config covers one oracle route; the artifacts are hashed whole.
+_GOLDEN_CONFIGS = {
+    "cube1_s1": _golden_rate("rate_in_h", {"kind": "uniform_cube", "dim": 1}, {"form": "gaussian", "dim": 1}, s=[1]),
+    "cube2": _golden_rate("rate_in_h", _CUBE2, _GAUSS2),
+    "circle": _golden_rate("rate_in_n", _CIRCLE, _GAUSS2, n_list=[500, 2000], h_grid={"l_n": 0.15, "n_points": 1}),
+    "ball": _golden_rate(
+        "rate_in_h", {"kind": "unbounded_ball", "dim": 2, "beta": 1.0}, _GAUSS2, x_grid={"target_size": 24}
+    ),
+    "sphere2": _golden_rate(
+        "rate_in_h", {"kind": "uniform_sphere", "manifold_dim": 2}, {"form": "gaussian", "dim": 3}, x_grid={"target_size": 20}
+    ),
+    "point_masses": _golden_rate(
+        "rate_in_h",
+        {"kind": "point_masses", "locations": [[0.0, 0.0], [0.5, 0.25]], "weights": [0.25, 0.75]},
+        _GAUSS2,
+    ),
+    "mixture": _golden_rate(
+        "rate_in_h", {"kind": "mixture", "components": [_CIRCLE, _CUBE2], "weights": [0.4, 0.6]}, _GAUSS2
+    ),
+    "moments_epan_cube1": {
+        "mode": "moment_scaling",
+        "distribution": {"kind": "uniform_cube", "dim": 1},
+        "kernel": {"form": "epanechnikov", "dim": 1},
+        "moment": {"k": 2.0},
+        "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 5},
+        "x_grid": {"target_size": 9},
+    },
+    "voldim_oracle": {
+        "mode": "voldim",
+        "distribution": _CIRCLE,
+        "x_grid": {"target_size": 16},
+        "voldim": {"sources": ["oracle"], "j_min": 2, "j_max": 6},
+    },
+}
+
+# sha256 of each artifact, recorded before the oracle tables were unified
+# (numpy 2.4.6, scipy 1.17.1); a refactor of the oracles must keep every byte.
+_GOLDEN_SHA256 = {
+    "ball": {
+        "report.json": "c4acca5e65f31e6eda177c8f6e82500ace857c00b6375a3e701088972cd27e3d",
+        "replicates.csv": "302d104dfdbb5e0b039babd92731bc8e5d1c022224e37261904a8c17b175e4cb",
+        "summary.csv": "b696b4f3223eec6980aa0557d5a6cc1653e83824c64206481d15dbcce94bfb84",
+    },
+    "circle": {
+        "report.json": "97a35637b3b19027daf9c01ea57c880d9897adc294dfe928c4c884fe26c61811",
+        "replicates.csv": "a51eecb69ea1c345c8795d7ecd6743b7db589c7e91bd5cf64aa1b6db3d75d989",
+        "summary.csv": "7a090f915a9d9a66c1d5130f68b7c71381f04fcbc1e8ce6feea11b74ca7d6bdd",
+    },
+    "cube1_s1": {
+        "report.json": "9fc7b3067a4a387855c267aaf9239f08497240302fedba1b15e8f02bfa967088",
+        "replicates.csv": "1a4cd48d715ac38ced8813f2f5cb59d4ac8ebb985563fa85c6fee5fc26e397c1",
+        "summary.csv": "442806e93ed1d02f8706b7668e0797806f19f5ea82d698da00289814fba7c0b6",
+    },
+    "cube2": {
+        "report.json": "0aa72c505019feb22834eda2308f6c2bb2d4ac65dc03593695f21b325b90bd03",
+        "replicates.csv": "03450f79c4a789a48188d6567080d161807778ad9c5e9629587510d8b060c945",
+        "summary.csv": "d1e47d2c8d2a47f1a3e6b377cc89d519ffb6df94d3d678b3ee60ba43338fb3d7",
+    },
+    "mixture": {
+        "report.json": "7a18aecc807353bf3fe984eac20cc22a6c5b5035e12e92a086367e4e6ce608bb",
+        "replicates.csv": "8d9c7dbddf24c8aaebeb0fa1f5be783d3d454c4283f231cb6653cf07c98cc68d",
+        "summary.csv": "cdb3af8b3463aa6d3164da0f00c5afd917ac7cf4e85f6a19afd7fdf3ab7b25ac",
+    },
+    "moments_epan_cube1": {
+        "moments.json": "1a3d3ce8a3bdaa263881855c5b0f7c0900d8f82d03268ebe11273dd14110a342",
+    },
+    "point_masses": {
+        "report.json": "fdd21dcce1742a58e93fb101ed26965a02f85b5225d4e62b96d0493c88c6dd04",
+        "replicates.csv": "3e2fdb585bed9bd947a8af62d65b458297598df753003fa606460d8faec0621d",
+        "summary.csv": "cb974d746a363d0e93b60af1ab187d7f0c0469292727f2e4cff6c1b1477bab9b",
+    },
+    "sphere2": {
+        "report.json": "c1126657aca84a8bc5ca3376edcb02c1d16269a24c650c5bc027681b42a0e697",
+        "replicates.csv": "129939c79d0b05cb97d1e4504073c33b0fdbc215f54e073f0dcac6d69d5c40e0",
+        "summary.csv": "8e7cc0c3ba38ce567d34ca9e3cc62a7e1906f4f3098b4f7cca1d1d277b3849e5",
+    },
+    "voldim_oracle": {
+        "voldim.json": "be1065d3f60d70ac8b220f0ee222a4d0e06a16e40bf707392b9db626506532fa",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
+def test_golden_artifacts(name, tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.setenv("KDERATES_WORKERS", "1")
+    run(ExperimentConfig.from_dict(_GOLDEN_CONFIGS[name]), tmp_path)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in _GOLDEN_SHA256[name]}
+    assert got == _GOLDEN_SHA256[name]
