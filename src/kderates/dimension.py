@@ -93,6 +93,12 @@ def dyadic_radii(diameter: float, j_min: int = 3, j_max: int = 8, per_octave: in
     return diameter * 2.0 ** (-js)
 
 
+def _as_sample(sample) -> np.ndarray:
+    """Sample rows as an (n, d) array; a 1-D array holds n points on a line."""
+    sample = np.asarray(sample, dtype=float)
+    return sample.reshape(-1, 1) if sample.ndim < 2 else sample
+
+
 def _empirical_counts(sample: np.ndarray, X: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Counts of sample points strictly inside B(x, r); shape (len(radii), len(X)).
 
@@ -116,8 +122,9 @@ def voldim_sweep(source, x_grid, radii) -> RadiusSweep:
     """Radius sweep of sup_x P(B(x, r)) from a distribution oracle or a sample.
 
     ``source`` is a ReferenceDistribution (oracle ball probabilities) or an
-    (n, d) array (empirical frequencies, open balls).  ``x_grid`` supplies
-    the candidate supremum locations (an EvalGrid or raw points).
+    (n, d) array or n scalars (empirical frequencies, open balls).
+    ``x_grid`` supplies the candidate supremum locations (an EvalGrid or raw
+    points).
     """
     X = np.atleast_2d(np.asarray(getattr(x_grid, "points", x_grid), dtype=float))
     radii = np.asarray(radii, dtype=float)
@@ -128,7 +135,7 @@ def voldim_sweep(source, x_grid, radii) -> RadiusSweep:
         for i, r in enumerate(radii):
             probs[i] = max(source.ball_prob(x, float(r)) for x in X)
         return RadiusSweep(radii, probs, "oracle")
-    sample = np.atleast_2d(np.asarray(source, dtype=float))
+    sample = _as_sample(source)
     counts = _empirical_counts(sample, X, radii)
     probs = counts.max(axis=1) / sample.shape[0]
     return RadiusSweep(radii, probs, f"empirical(n={sample.shape[0]})")
@@ -177,7 +184,7 @@ def _greedy_cover_count(tree: cKDTree, delta: float) -> int:
 
 def box_dimension_estimate(sample, delta_grid) -> RateFit:
     """Box-counting dimension: slope of log N(delta) against -log delta."""
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
+    sample = _as_sample(sample)
     deltas = np.sort(np.asarray(delta_grid, dtype=float))[::-1]
     if deltas.size < 4:
         raise ValueError("need at least 4 deltas")
@@ -198,7 +205,7 @@ def correlation_dimension_estimate(sample, r_grid) -> RateFit:
 
     The pair fraction is the U-statistic (2/(n(n-1))) #{i<j : ||X_i - X_j|| <= r}.
     """
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
+    sample = _as_sample(sample)
     n = sample.shape[0]
     if n < 100:
         raise ValueError("need at least 100 sample points")

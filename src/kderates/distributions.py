@@ -6,13 +6,19 @@
 # Sampling uses the counter-based Philox 4x64 generator, so streams are
 # reproducible across platforms for a given 64-bit seed.
 #
-# Oracle routes per kind:
-#   point masses        exact finite sums
-#   cube + Gaussian     products of 1-D normal CDF differences (exact)
-#   circle + Gaussian   closed form via the exponentially scaled Bessel I0
-#   ball/sphere/circle  low-dimensional quadrature over the manifold or
-#                       radial parameter, with certified error
-#   mixtures            weight-linear combinations
+# p_h and D^s p_h have one entry point, smoothed_derivative_table, which
+# validates its inputs and returns the (bandwidth, point) table; a pointwise
+# value is the 1x1 table.  Each distribution offers at most one table route,
+# its _table hook, and returns None where it has none:
+#   point masses        exact finite sums over the atoms
+#   cube + Gaussian     products of 1-D normal CDF (or density-derivative)
+#                       differences, exact
+#   circle + Gaussian   p_h in closed form via the scaled Bessel I0
+#   ball + Gaussian     p_h in 2-D as a certified 1-D quadrature of the
+#                       Bessel I0 form over the radius
+#   mixtures            the weighted sum of the component tables
+# Every other cell is filled by low-dimensional quadrature over the manifold
+# or radial parameter, with certified error.
 
 from __future__ import annotations
 
@@ -123,48 +129,56 @@ class ReferenceDistribution:
 
     def smoothed_density(self, kernel: Kernel, h: float, x) -> float:
         """p_h(x) = E[(1/h^d) K((x - X)/h)]."""
-        h = self._check_h(h, kernel)
-        x = self._check_point(x)
-        fast = self._density_fast(kernel, h, x)
-        if fast is not None:
-            return fast
-        d = self.ambient_dim
-
-        def g(rr):
-            return kernel.profile(np.asarray(rr) / h) / h**d
-
-        val, err = self._expect_radial(x, g)
-        self._certify(val, err, self._density_tol, "smoothed_density")
-        return val
+        return self.smoothed_derivative(kernel, None, h, x)
 
     def smoothed_derivative(self, kernel: Kernel, s, h: float, x) -> float:
-        """D^s p_h(x) = E[(1/h^(d+|s|)) D^s K((x - X)/h)]."""
+        """D^s p_h(x) = E[(1/h^(d+|s|)) D^s K((x - X)/h)], as the 1x1 table."""
+        return float(self.smoothed_derivative_table(kernel, s, [h], np.asarray(x, dtype=float)[None])[0, 0])
+
+    def smoothed_density_table(self, kernel: Kernel, h_values, X) -> np.ndarray:
+        """p_h(x) over a bandwidth list and point rows; shape (len(h), len(X))."""
+        return self.smoothed_derivative_table(kernel, None, h_values, X)
+
+    def smoothed_derivative_table(self, kernel: Kernel, s, h_values, X) -> np.ndarray:
+        """D^s p_h(x) over a bandwidth list and point rows; shape (len(h), len(X)).
+
+        s = None (or zero) gives p_h.  Cells without an exact table route are
+        filled by certified quadrature.
+        """
         s = MultiIndex.coerce(s, self.ambient_dim)
-        if s.is_zero():
-            return self.smoothed_density(kernel, h, x)
         if s.order > kernel.deriv_support:
             raise ValueError(f"derivative order {s.order} unsupported by kernel {kernel.form}")
-        h = self._check_h(h, kernel)
-        x = self._check_point(x)
-        fast = self._derivative_fast(kernel, s, h, x)
-        if fast is not None:
-            return fast
-        d = self.ambient_dim
-        scale = h ** (d + s.order)
-
-        def f(V):
-            return kernel.deriv_eval_many(s, np.asarray(V) / h) / scale
-
-        val, err = self._expect_vector(x, f)
-        self._certify(val, err, self._density_tol, "smoothed_derivative")
-        return val
+        h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+        if h_values.ndim != 1 or not np.all(h_values > 0):
+            raise ValueError("bandwidths h must be positive")
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.ambient_dim:
+            raise ValueError(f"points have shape {X.shape}, expected (m, {self.ambient_dim})")
+        table = self._table(kernel, s, h_values, X)
+        if table is not None:
+            return table
+        what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
+        out = np.empty((h_values.size, X.shape[0]))
+        for i, h in enumerate(h_values):
+            h = float(h)
+            scale = h ** (self.ambient_dim + s.order)
+            for j, x in enumerate(X):
+                if s.is_zero():
+                    val, err = self._expect_radial(x, lambda rr: kernel.profile(np.asarray(rr) / h) / scale)
+                else:
+                    val, err = self._expect_vector(x, lambda V: kernel.deriv_eval_many(s, np.asarray(V) / h) / scale)
+                self._certify(val, err, self._density_tol, what)
+                out[i, j] = val
+        return out
 
     def moment_k(self, kernel: Kernel, x, h: float, k: float, s=None) -> float:
         """E[ |D^s K((x - X)/h)|^k ]."""
         if k <= 0:
             raise ValueError("k must be positive")
         s = MultiIndex.coerce(s, self.ambient_dim)
-        h = self._check_h(h, kernel)
+        h = float(h)
+        if h <= 0:
+            raise ValueError("bandwidth h must be positive")
         x = self._check_point(x)
         if s.order > kernel.deriv_support:
             raise ValueError(f"derivative order {s.order} unsupported by kernel {kernel.form}")
@@ -192,36 +206,6 @@ class ReferenceDistribution:
         self._certify(val, err, self._moment_tol, "moment_k", relative=True)
         return val
 
-    # -- vectorized tables (harness hot path) ---------------------------------
-
-    def smoothed_density_table(self, kernel: Kernel, h_values, X) -> np.ndarray:
-        """p_h(x) over a bandwidth list and point rows; shape (len(h), len(X))."""
-        h_values = np.asarray(h_values, dtype=float)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        fast = self._density_table_fast(kernel, h_values, X)
-        if fast is not None:
-            return fast
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            for j in range(X.shape[0]):
-                out[i, j] = self.smoothed_density(kernel, float(h), X[j])
-        return out
-
-    def smoothed_derivative_table(self, kernel: Kernel, s, h_values, X) -> np.ndarray:
-        s = MultiIndex.coerce(s, self.ambient_dim)
-        if s.is_zero():
-            return self.smoothed_density_table(kernel, h_values, X)
-        h_values = np.asarray(h_values, dtype=float)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        fast = self._derivative_table_fast(kernel, s, h_values, X)
-        if fast is not None:
-            return fast
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            for j in range(X.shape[0]):
-                out[i, j] = self.smoothed_derivative(kernel, s, float(h), X[j])
-        return out
-
     # -- geometry hooks --------------------------------------------------------
 
     def special_points(self) -> np.ndarray:
@@ -247,32 +231,17 @@ class ReferenceDistribution:
         return x
 
     @staticmethod
-    def _check_h(h: float, kernel: Kernel) -> float:
-        h = float(h)
-        if h <= 0:
-            raise ValueError("bandwidth h must be positive")
-        return h
-
-    @staticmethod
     def _certify(val, err, tol, what, relative=False):
         bound = tol * max(abs(val), 1.0) if not relative else tol * max(abs(val), 1e-300)
         if err > bound:
             raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target", estimate=val, error=err)
 
-    # fast-path hooks; subclasses return None when no exact route applies
-    def _density_fast(self, kernel, h, x):
-        return None
-
-    def _derivative_fast(self, kernel, s, h, x):
+    # exact routes; subclasses return None when none applies
+    def _table(self, kernel, s, h_values, X):
+        """Exact D^s p_h table for validated inputs, or None."""
         return None
 
     def _moment_fast(self, kernel, x, h, k, s):
-        return None
-
-    def _density_table_fast(self, kernel, h_values, X):
-        return None
-
-    def _derivative_table_fast(self, kernel, s, h_values, X):
         return None
 
     def _expect_radial(self, x: np.ndarray, g) -> tuple[float, float]:
@@ -338,31 +307,8 @@ class UniformCube(ReferenceDistribution):
 
         return vol(x, r, self.ambient_dim)
 
-    def _density_fast(self, kernel, h, x):
-        if kernel.form != "gaussian":
-            return None
-        return float(np.prod(ndtr(x / h) - ndtr((x - 1.0) / h)))
-
-    def _density_table_fast(self, kernel, h_values, X):
-        if kernel.form != "gaussian":
-            return None
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            out[i] = np.prod(ndtr(X / h) - ndtr((X - 1.0) / h), axis=1)
-        return out
-
-    def _derivative_fast(self, kernel, s, h, x):
-        if kernel.form != "gaussian":
-            return None
-        out = 1.0
-        for k, t in zip(s.orders, x):
-            if k == 0:
-                out *= float(ndtr(t / h) - ndtr((t - 1.0) / h))
-            else:
-                out *= float(_phi_deriv(k - 1, t / h) - _phi_deriv(k - 1, (t - 1.0) / h)) / h**k
-        return out
-
-    def _derivative_table_fast(self, kernel, s, h_values, X):
+    def _table(self, kernel, s, h_values, X):
+        # the Gaussian factorises over coordinates on a product domain
         if kernel.form != "gaussian":
             return None
         out = np.empty((h_values.size, X.shape[0]))
@@ -471,21 +417,26 @@ class UnboundedBall(ReferenceDistribution):
 
         return self._radial_pushforward(frac)
 
-    def _density_fast(self, kernel, h, x):
-        if kernel.form != "gaussian" or self.ambient_dim != 2:
+    def _table(self, kernel, s, h_values, X):
+        if kernel.form != "gaussian" or self.ambient_dim != 2 or not s.is_zero():
             return None
-        m = float(np.linalg.norm(x))
-        c = 1.0 / (2.0 * math.pi * h * h)
+        out = np.empty((h_values.size, X.shape[0]))
+        for i, h in enumerate(h_values):
+            h = float(h)
+            c = 1.0 / (2.0 * math.pi * h * h)
+            for j, x in enumerate(X):
+                m = float(np.linalg.norm(x))
 
-        def inner(rho):
-            if m < _TINY:
-                return c * math.exp(-0.5 * rho * rho / (h * h))
-            z = m * rho / (h * h)
-            return c * float(ive(0, z)) * math.exp(-0.5 * (m - rho) ** 2 / (h * h))
+                def inner(rho):
+                    if m < _TINY:
+                        return c * math.exp(-0.5 * rho * rho / (h * h))
+                    z = m * rho / (h * h)
+                    return c * float(ive(0, z)) * math.exp(-0.5 * (m - rho) ** 2 / (h * h))
 
-        val, err = self._radial_pushforward(inner)
-        self._certify(val, err, self._density_tol, "smoothed_density")
-        return val
+                val, err = self._radial_pushforward(inner)
+                self._certify(val, err, self._density_tol, "smoothed_density")
+                out[i, j] = val
+        return out
 
     def _expect_radial(self, x, g):
         m = float(np.linalg.norm(x))
@@ -583,19 +534,8 @@ class UniformSphere(ReferenceDistribution):
         c = (m * m + rho * rho - r * r) / (2.0 * m * rho)
         return cap_fraction(c, self.manifold_dim), 0.0
 
-    def _density_fast(self, kernel, h, x):
-        if kernel.form != "gaussian" or self.manifold_dim != 1:
-            return None
-        m = float(np.linalg.norm(x))
-        rho = self.radius
-        c = 1.0 / (2.0 * math.pi * h * h)
-        if m < _TINY:
-            return c * math.exp(-0.5 * rho * rho / (h * h))
-        z = m * rho / (h * h)
-        return c * float(ive(0, z)) * math.exp(-0.5 * (m - rho) ** 2 / (h * h))
-
-    def _density_table_fast(self, kernel, h_values, X):
-        if kernel.form != "gaussian" or self.manifold_dim != 1:
+    def _table(self, kernel, s, h_values, X):
+        if kernel.form != "gaussian" or self.manifold_dim != 1 or not s.is_zero():
             return None
         m = np.linalg.norm(X, axis=1)
         rho = self.radius
@@ -727,38 +667,18 @@ class PointMasses(ReferenceDistribution):
         inside = np.linalg.norm(self.locations - x, axis=1) < r
         return float(self.weights[inside].sum()), 0.0
 
-    def _density_fast(self, kernel, h, x):
-        return float(self._density_table_fast(kernel, np.array([h]), x.reshape(1, -1))[0, 0])
-
-    def _derivative_fast(self, kernel, s, h, x):
-        d = self.ambient_dim
-        vals = kernel.deriv_eval_many(s, (x - self.locations) / h)
-        return float(np.dot(self.weights, vals)) / h ** (d + s.order)
-
     def _moment_fast(self, kernel, x, h, k, s):
         vals = np.abs(kernel.deriv_eval_many(s, (x - self.locations) / h)) ** k
         return float(np.dot(self.weights, vals))
 
-    def _density_table_fast(self, kernel, h_values, X):
-        # arithmetic route kept identical to the KDE grid evaluator, so a
-        # sample consisting of the atoms reproduces p_h exactly
+    def _table(self, kernel, s, h_values, X):
         d = self.ambient_dim
         diff = X[:, None, :] - self.locations[None, :, :]
         r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         out = np.empty((h_values.size, X.shape[0]))
         for i, h in enumerate(h_values):
-            out[i] = kernel.profile(r / h) @ self.weights / h**d
-        return out
-
-    def _derivative_table_fast(self, kernel, s, h_values, X):
-        d = self.ambient_dim
-        diff = X[:, None, :] - self.locations[None, :, :]
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            acc = np.ones(diff.shape[:2])
-            for j, kj in enumerate(s.orders):
-                acc = acc * _phi_deriv(kj, diff[:, :, j] / h)
-            out[i] = acc @ self.weights / h ** (d + s.order)
+            vals = kernel.profile(r / h) if s.is_zero() else kernel.deriv_eval_many(s, diff / h)
+            out[i] = vals @ self.weights / h ** (d + s.order)
         return out
 
     def special_points(self):
@@ -780,11 +700,8 @@ class Mixture(ReferenceDistribution):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(components),):
             raise ValueError("weights must match the number of components")
-        if np.any(weights <= 0) or np.any(weights >= 1) and len(components) > 1 or abs(weights.sum() - 1.0) > 1e-12:
-            if len(components) == 1 and abs(weights.sum() - 1.0) <= 1e-12:
-                pass
-            else:
-                raise ValueError("weights must lie in (0,1) and sum to 1")
+        if np.any(weights <= 0) or (len(components) > 1 and np.any(weights >= 1)) or abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must lie in (0,1) and sum to 1")
         self.kind = "mixture"
         self.components = list(components)
         self.weights = weights
@@ -822,23 +739,10 @@ class Mixture(ReferenceDistribution):
     def _ball_prob_impl(self, x, r):
         return self._combine([c._ball_prob_impl(x, r) for c in self.components])
 
-    def _density_fast(self, kernel, h, x):
-        return float(sum(w * c.smoothed_density(kernel, h, x) for w, c in zip(self.weights, self.components)))
-
-    def _derivative_fast(self, kernel, s, h, x):
-        return float(sum(w * c.smoothed_derivative(kernel, s, h, x) for w, c in zip(self.weights, self.components)))
-
     def _moment_fast(self, kernel, x, h, k, s):
         return float(sum(w * c.moment_k(kernel, x, h, k, s) for w, c in zip(self.weights, self.components)))
 
-    def _density_table_fast(self, kernel, h_values, X):
-        acc = None
-        for w, c in zip(self.weights, self.components):
-            t = c.smoothed_density_table(kernel, h_values, X)
-            acc = w * t if acc is None else acc + w * t
-        return acc
-
-    def _derivative_table_fast(self, kernel, s, h_values, X):
+    def _table(self, kernel, s, h_values, X):
         acc = None
         for w, c in zip(self.weights, self.components):
             t = c.smoothed_derivative_table(kernel, s, h_values, X)

@@ -142,6 +142,19 @@ class TestEmpiricalCounts:
             voldim_sweep(rng.random((1000, 2)), [[0.5], [0.2]], [0.1, 0.2])
 
 
+class TestLineSamples:
+    def test_flat_array_is_points_on_a_line(self):
+        t = np.linspace(0.0, 1.0, 2000)
+        deltas = np.geomspace(0.01, 0.1, 5)
+        radii = np.geomspace(0.005, 0.05, 5)
+        assert box_dimension_estimate(t, deltas) == box_dimension_estimate(t[:, None], deltas)
+        assert box_dimension_estimate(t, deltas).slope == pytest.approx(1.0, abs=0.05)
+        assert correlation_dimension_estimate(t, radii) == correlation_dimension_estimate(t[:, None], radii)
+        grid = np.array([[0.0], [0.37], [0.5]])
+        flat, column = voldim_sweep(t, grid, radii), voldim_sweep(t[:, None], grid, radii)
+        assert np.array_equal(flat.sup_probs, column.sup_probs) and flat.source == column.source
+
+
 class TestAssumptionCheck:
     def test_ball_center_ratio_unity(self):
         dist = UnboundedBall(2, 1.0)

@@ -316,6 +316,94 @@ class TestMomentK:
         assert slope == pytest.approx(1.0, abs=0.05)
 
 
+# (kind, distribution, derivative orders, number of points): nonzero orders
+# and point counts where the Gaussian oracle of the kind runs at test speed.
+_ONE_BY_ONE_CASES = [
+    ("cube1", lambda: UniformCube(1), [None, (1,), (2,)], 6),
+    ("cube2", lambda: UniformCube(2), [None, (1, 0), (1, 1), (0, 2)], 6),
+    ("circle", lambda: UniformCircle(1.0), [None, (1, 0)], 6),
+    ("sphere2", lambda: UniformSphere(2), [None], 2),
+    ("ball", lambda: UnboundedBall(2, 1.0), [None, (0, 1)], 1),
+    ("point_masses", lambda: PointMasses([[0.0, 0.0], [0.5, 0.25]], [0.25, 0.75]), [None, (1, 0), (2, 1)], 6),
+    ("mixture", lambda: Mixture([UniformCircle(1.0), UniformCube(2)], [0.4, 0.6]), [None, (1, 1)], 6),
+]
+
+
+# kinds with an exact Gaussian table route
+_EXACT_TABLE_KINDS = [
+    UniformCube(2),
+    UniformCircle(1.0),
+    PointMasses([[0.0, 0.0]], [1.0]),
+    Mixture([UniformCircle(1.0), UniformCube(2)], [0.5, 0.5]),
+]
+
+
+class TestOneTable:
+    @pytest.mark.parametrize("name, make, orders, m", _ONE_BY_ONE_CASES, ids=[c[0] for c in _ONE_BY_ONE_CASES])
+    def test_pointwise_is_one_by_one_table(self, name, make, orders, m):
+        dist = make()
+        d = dist.ambient_dim
+        kern = Kernel.gaussian(d)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1.1, 1.2, size=(m, d))
+        for s in orders:
+            for h in (0.07, 0.3):
+                for x in X:
+                    table = dist.smoothed_derivative_table(kern, s, [h], x.reshape(1, -1))
+                    assert table.shape == (1, 1)
+                    assert dist.smoothed_derivative(kern, s, h, x) == table[0, 0], (s, h, x)
+                    if s is None:
+                        assert dist.smoothed_density(kern, h, x) == table[0, 0]
+                        assert dist.smoothed_density_table(kern, [h], x.reshape(1, -1))[0, 0] == table[0, 0]
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("dist", _EXACT_TABLE_KINDS, ids=["cube2", "circle", "point_masses", "mixture"])
+    def test_table_rejects_nonpositive_h(self, dist, h):
+        with pytest.raises(ValueError, match="positive"):
+            dist.smoothed_derivative_table(GAUSS2, None, [0.2, h], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="positive"):
+            dist.smoothed_derivative_table(GAUSS2, (1, 0), [h], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dist", _EXACT_TABLE_KINDS, ids=["cube2", "circle", "point_masses", "mixture"])
+    def test_table_rejects_wrong_point_dimension(self, dist):
+        with pytest.raises(ValueError, match="shape"):
+            dist.smoothed_density_table(GAUSS2, [0.2], np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            dist.smoothed_derivative(GAUSS2, None, 0.2, np.zeros(3))
+
+    def test_table_rejects_unsupported_derivative_order(self):
+        epan1 = Kernel.epanechnikov(1)
+        for dist in [PointMasses([[0.0]], [1.0]), UniformCube(1), Mixture([PointMasses([[0.0]], [1.0])], [1.0])]:
+            with pytest.raises(ValueError, match="unsupported"):
+                dist.smoothed_derivative_table(epan1, (1,), [0.3], np.array([[0.2]]))
+            with pytest.raises(ValueError, match="unsupported"):
+                dist.smoothed_derivative(epan1, (1,), 0.3, np.array([0.2]))
+
+    def test_quadrature_fallback_matches_exact_table(self):
+        # the Epanechnikov kernel has no table route on the cube: certified quadrature
+        dist = UniformCube(1)
+        epan = Kernel.epanechnikov(1)
+        X = np.array([[0.0], [0.1], [0.5], [1.05]])
+        got = dist.smoothed_density_table(epan, [0.2, 0.4], X)
+        for i, h in enumerate([0.2, 0.4]):
+            for j, (x,) in enumerate(X):
+                # integral of (3/4)(1 - u^2) over u in [(x-1)/h, x/h] clipped to [-1, 1]
+                a, b = max(-1.0, (x - 1.0) / h), min(1.0, x / h)
+                expected = 0.75 * ((b - b**3 / 3) - (a - a**3 / 3)) if b > a else 0.0
+                assert got[i, j] == pytest.approx(expected, abs=1e-9)
+
+
+class TestMixtureWeights:
+    def test_single_component_weight_one(self):
+        Mixture([UniformCube(1)], [1.0])
+
+    @pytest.mark.parametrize("weights", [[0.5], [0.5, 0.6], [1.0, 1e-13]])
+    def test_rejected(self, weights):
+        comps = [UniformCube(1)] * len(weights)
+        with pytest.raises(ValueError, match="weights"):
+            Mixture(comps, weights)
+
+
 def test_mixture_voldim_is_min():
     mix = Mixture([UniformCircle(1.0), UniformCube(2)], [0.5, 0.5])
     assert mix.analytic_voldim == 1.0
