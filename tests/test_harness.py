@@ -392,50 +392,101 @@ _GOLDEN_CONFIGS = {
         "x_grid": {"target_size": 16},
         "voldim": {"sources": ["oracle"], "j_min": 2, "j_max": 6},
     },
+    "voldim_both": {
+        "mode": "voldim",
+        "distribution": {"kind": "unbounded_ball", "dim": 2, "beta": 1.0},
+        "x_grid": {"target_size": 12},
+        "voldim": {"sources": ["oracle", "empirical"], "n": 4000, "j_min": 2, "j_max": 6},
+        "base_seed": 9,
+    },
+    "bounds_sigma2": {
+        "mode": "bounds",
+        "bounds": {"n": 100000, "l_n": 0.1, "d": 2, "d_vol": 1.0, "delta": 0.05, "sigma2_const": 0.5},
+    },
+    "covering": {
+        "mode": "covering",
+        "kernel": _GAUSS2,
+        "covering": {"h_values": [0.2, 0.5], "eta_fracs": [0.1, 0.5], "grid_size": 32, "q_size": 64},
+        "base_seed": 4,
+    },
+    "cube2_sample": _golden_rate("rate_in_h", _CUBE2, _GAUSS2, n_list=[500], export_sample_csv=True),
+    # the fit subcommand needs at least 4 bandwidths
+    "cube1_fit": _golden_rate(
+        "rate_in_h", {"kind": "uniform_cube", "dim": 1}, {"form": "gaussian", "dim": 1}, h_grid={"l_n": 0.05, "h_max": 0.4, "n_points": 5}
+    ),
 }
 
-# sha256 of each artifact, recorded before the oracle tables were unified
-# (numpy 2.4.6, scipy 1.17.1); a refactor of the oracles must keep every byte.
+# sha256 of every artifact each config leaves, fit outputs included (numpy
+# 2.4.6, scipy 1.17.1); a refactor of the oracles or of the artifact writers
+# must keep every byte.
 _GOLDEN_SHA256 = {
     "ball": {
-        "report.json": "c4acca5e65f31e6eda177c8f6e82500ace857c00b6375a3e701088972cd27e3d",
         "replicates.csv": "302d104dfdbb5e0b039babd92731bc8e5d1c022224e37261904a8c17b175e4cb",
+        "report.json": "c4acca5e65f31e6eda177c8f6e82500ace857c00b6375a3e701088972cd27e3d",
         "summary.csv": "b696b4f3223eec6980aa0557d5a6cc1653e83824c64206481d15dbcce94bfb84",
     },
+    "bounds_sigma2": {
+        "bounds.json": "d1e42f65103613f3932cbcba6f7aa08fdf35020d889ef7903541764c130fab3e",
+    },
     "circle": {
-        "report.json": "97a35637b3b19027daf9c01ea57c880d9897adc294dfe928c4c884fe26c61811",
         "replicates.csv": "a51eecb69ea1c345c8795d7ecd6743b7db589c7e91bd5cf64aa1b6db3d75d989",
+        "report.json": "97a35637b3b19027daf9c01ea57c880d9897adc294dfe928c4c884fe26c61811",
         "summary.csv": "7a090f915a9d9a66c1d5130f68b7c71381f04fcbc1e8ce6feea11b74ca7d6bdd",
     },
+    "covering": {
+        "covering.csv": "ffdd2e77c8ec7fe798d54d44da47dc28fb49165b43d4f05115d39297e5d4f97f",
+        "covering.json": "a5eba4bf9627bdb966618cd089cfcee0b96e49e5024ec42ae5a569a607c527ae",
+    },
+    "cube1_fit": {
+        "fit_h.json": "69f09f64c56bb8a4537a7f7cfaf7a5b6e81e154146f92f4f527da6669383158b",
+        "plot_h.csv": "d9f25ab805f65e103d8ce9bf97183b46c52dc34eadc7c12cc50a68752bd39164",
+        "plot_h.svg": "882408d6332daa5a39ba04e5c06254ea31a9f919f2a381feaaf3c263bd6ffe66",
+        "replicates.csv": "16d8230d0ae7b4828c20ae845470365a73756eba1dcc4e5a407e4ab9606412c7",
+        "report.json": "a36fbaf46f0e5fe7612acf2fcd79830b9058065d561fbef818fa32f00742212c",
+        "summary.csv": "f6e417ecb94b1558af572d08cbd67c1277e910a79d93cd00470ebf88ed9f7b8c",
+    },
     "cube1_s1": {
-        "report.json": "9fc7b3067a4a387855c267aaf9239f08497240302fedba1b15e8f02bfa967088",
         "replicates.csv": "1a4cd48d715ac38ced8813f2f5cb59d4ac8ebb985563fa85c6fee5fc26e397c1",
+        "report.json": "9fc7b3067a4a387855c267aaf9239f08497240302fedba1b15e8f02bfa967088",
         "summary.csv": "442806e93ed1d02f8706b7668e0797806f19f5ea82d698da00289814fba7c0b6",
     },
     "cube2": {
-        "report.json": "0aa72c505019feb22834eda2308f6c2bb2d4ac65dc03593695f21b325b90bd03",
         "replicates.csv": "03450f79c4a789a48188d6567080d161807778ad9c5e9629587510d8b060c945",
+        "report.json": "0aa72c505019feb22834eda2308f6c2bb2d4ac65dc03593695f21b325b90bd03",
         "summary.csv": "d1e47d2c8d2a47f1a3e6b377cc89d519ffb6df94d3d678b3ee60ba43338fb3d7",
     },
+    "cube2_sample": {
+        "replicates.csv": "c0f1d2906884995cc978164b663fa3f1574a1815148341be238b49eca73dedef",
+        "report.json": "c61088cba53d6338ab3b260187d591fc1f3a7ac6eb301200c95ae446bd2d114b",
+        "sample.csv": "c48f1f5dbf2a35da8b4fd3c84c589f2c134625529e424679323ef49fe2fd3a8a",
+        "summary.csv": "ee1aeb25710142809bc2bb37ea532e7d7047fcd148ece2742f7b1bd3c808b0ae",
+    },
     "mixture": {
-        "report.json": "7a18aecc807353bf3fe984eac20cc22a6c5b5035e12e92a086367e4e6ce608bb",
         "replicates.csv": "8d9c7dbddf24c8aaebeb0fa1f5be783d3d454c4283f231cb6653cf07c98cc68d",
+        "report.json": "7a18aecc807353bf3fe984eac20cc22a6c5b5035e12e92a086367e4e6ce608bb",
         "summary.csv": "cdb3af8b3463aa6d3164da0f00c5afd917ac7cf4e85f6a19afd7fdf3ab7b25ac",
     },
     "moments_epan_cube1": {
+        "moments.csv": "34e5c79ebe0c730764af31161ae9a10c3dbd8e87f18776e9b71d224f301ca014",
         "moments.json": "1a3d3ce8a3bdaa263881855c5b0f7c0900d8f82d03268ebe11273dd14110a342",
     },
     "point_masses": {
-        "report.json": "fdd21dcce1742a58e93fb101ed26965a02f85b5225d4e62b96d0493c88c6dd04",
         "replicates.csv": "3e2fdb585bed9bd947a8af62d65b458297598df753003fa606460d8faec0621d",
+        "report.json": "fdd21dcce1742a58e93fb101ed26965a02f85b5225d4e62b96d0493c88c6dd04",
         "summary.csv": "cb974d746a363d0e93b60af1ab187d7f0c0469292727f2e4cff6c1b1477bab9b",
     },
     "sphere2": {
-        "report.json": "c1126657aca84a8bc5ca3376edcb02c1d16269a24c650c5bc027681b42a0e697",
         "replicates.csv": "129939c79d0b05cb97d1e4504073c33b0fdbc215f54e073f0dcac6d69d5c40e0",
+        "report.json": "c1126657aca84a8bc5ca3376edcb02c1d16269a24c650c5bc027681b42a0e697",
         "summary.csv": "8e7cc0c3ba38ce567d34ca9e3cc62a7e1906f4f3098b4f7cca1d1d277b3849e5",
     },
+    "voldim_both": {
+        "sweep_empirical.csv": "485019e0efe695e08f74d7019c9a381588686a19e65f7aae7492b45dbb27069d",
+        "sweep_oracle.csv": "0385b33b5753c6cd53334e5d02808a77898f4f3d8d9e38016a7e285d038ed787",
+        "voldim.json": "a60b3b40b310e4beaecf6b68120215846724853b95ebbce06a302abf01f2bba4",
+    },
     "voldim_oracle": {
+        "sweep_oracle.csv": "74bb9407a5904cd17338827f3c39459d0b2a7d9f913295992fff415633049516",
         "voldim.json": "be1065d3f60d70ac8b220f0ee222a4d0e06a16e40bf707392b9db626506532fa",
     },
 }
@@ -446,6 +497,12 @@ def test_golden_artifacts(name, tmp_path, monkeypatch):
     import hashlib
 
     monkeypatch.setenv("KDERATES_WORKERS", "1")
-    run(ExperimentConfig.from_dict(_GOLDEN_CONFIGS[name]), tmp_path)
-    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in _GOLDEN_SHA256[name]}
+    out = tmp_path / "out"
+    run(ExperimentConfig.from_dict(_GOLDEN_CONFIGS[name]), out)
+    if "fit_h.json" in _GOLDEN_SHA256[name]:
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(_GOLDEN_CONFIGS[name]))
+        assert cli_main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(_GOLDEN_SHA256[name])
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in _GOLDEN_SHA256[name]}
     assert got == _GOLDEN_SHA256[name]
