@@ -1,30 +1,24 @@
 # cli.py
-# Command-line entry point.  Subcommands map onto the experiment modes;
-# every one takes --config PATH, --out DIR and --seed N (seed overrides
-# the config's base_seed).  Exit code 0 on success, 2 on failure with a
-# machine-readable JSON error summary on stderr.
+# Command-line entry point.  The subcommands are the ones harness.MODES
+# names, plus fit; every one takes --config PATH, --out DIR and --seed N
+# (seed overrides the config's base_seed).  Exit code 0 on success, 2 on
+# failure with a machine-readable JSON error summary on stderr.
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .harness import DeviationReport, ExperimentConfig, dumps_17g, emit_plots, fit_rate, run
-
-_SUBCOMMAND_MODES = {
-    "simulate": ("rate_in_h", "rate_in_n"),
-    "moments": ("moment_scaling",),
-    "voldim": ("voldim",),
-    "bounds": ("bounds",),
-    "covering": ("covering",),
-}
+from .artifacts import dumps_17g, write_files
+from .harness import MODES, DeviationReport, ExperimentConfig, emit_plots, fit_rate, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kderates", description="KDE sup-deviation and dimension experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_SUBCOMMAND_MODES, "fit"]:
+    for name in [*dict.fromkeys(m.command for m in MODES.values()), "fit"]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
@@ -52,16 +46,9 @@ def _cmd_fit(args) -> int:
     if axis is None:
         axis = "h" if len({c.h for c in report.cells}) > 1 else "n"
     fit = fit_rate(report, axis, args.statistic)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "axis": axis,
-        "statistic": args.statistic or report.statistic,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "n_points": fit.n_points,
-    }
-    (out_dir / f"fit_{axis}.json").write_text(dumps_17g(payload) + "\n", encoding="utf-8")
+    payload = {k: v for k, v in asdict(fit).items() if k != "r_window"}
+    payload.update(axis=axis, statistic=args.statistic or report.statistic)
+    write_files(out_dir, {f"fit_{axis}.json": dumps_17g(payload) + "\n"})
     emit_plots(report, out_dir, args.statistic)
     print(f"fit axis={axis} slope={fit.slope:.6g} residual={fit.residual:.3g}")
     return 0
@@ -73,11 +60,11 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         config, out_dir = _load_config(args)
-        allowed = _SUBCOMMAND_MODES[args.command]
-        if config.mode not in allowed:
-            raise ValueError(f"config mode {config.mode!r} not valid for '{args.command}' (expects {allowed})")
+        expected = MODES[config.mode].command
+        if args.command != expected:
+            raise ValueError(f"config mode {config.mode!r} not valid for '{args.command}' (run it with '{expected}')")
         report = run(config, out_dir)
-        failures = getattr(report, "failures", None) or (report.get("failures") if isinstance(report, dict) else None)
+        failures = getattr(report, "failures", None)
         print(f"{args.command}: wrote artifacts to {out_dir}")
         if failures:
             print(f"{len(failures)} cell failure(s) recorded in the report", file=sys.stderr)

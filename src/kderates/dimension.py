@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .artifacts import csv_text
 from .distributions import ReferenceDistribution
 
 __all__ = [
@@ -35,8 +37,8 @@ __all__ = [
     "box_dimension_estimate",
     "correlation_dimension_estimate",
     "dyadic_radii",
+    "radius_sweep_csv",
     "write_radius_sweep_csv",
-    "write_rate_fit_csv",
 ]
 
 @dataclass(frozen=True)
@@ -227,17 +229,9 @@ def correlation_dimension_estimate(sample, r_grid) -> RateFit:
     return RateFit(float(slope), float(intercept), (float(radii.min()), float(radii.max())), residual, int(radii.size))
 
 
+def radius_sweep_csv(sweep: RadiusSweep) -> str:
+    return csv_text(("r", "sup_prob"), zip(sweep.radii, sweep.sup_probs))
+
+
 def write_radius_sweep_csv(sweep: RadiusSweep, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,sup_prob\n")
-        for r, p in zip(sweep.radii, sweep.sup_probs):
-            fh.write(f"{r:.17g},{p:.17g}\n")
-
-
-def write_rate_fit_csv(fit: RateFit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("slope,intercept,r_min,r_max,residual,n_points\n")
-        fh.write(
-            f"{fit.slope:.17g},{fit.intercept:.17g},{fit.r_window[0]:.17g},"
-            f"{fit.r_window[1]:.17g},{fit.residual:.17g},{fit.n_points}\n"
-        )
+    Path(path).write_text(radius_sweep_csv(sweep), encoding="utf-8")

@@ -40,7 +40,6 @@ __all__ = [
     "PointMasses",
     "Mixture",
     "distribution_from_config",
-    "write_sample_csv",
 ]
 
 _TINY = 1e-14
@@ -782,11 +781,3 @@ def distribution_from_config(cfg: dict) -> ReferenceDistribution:
         raise ValueError(f"unknown distribution kind {kind!r}; choose from {sorted(_KINDS) + ['mixture']}")
     return _KINDS[kind](cfg)
 
-
-def write_sample_csv(points: np.ndarray, path) -> None:
-    """One row per point, d columns, 17 significant digits."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
-        for row in points:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

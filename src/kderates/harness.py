@@ -1,33 +1,38 @@
 # harness.py
-# Experiment orchestration: Monte Carlo sup-deviation campaigns over
-# (n, h) grids, moment-scaling sweeps, dimension-estimation runs, bound
-# reports and covering sweeps, with deterministic seeding and byte-stable
-# artifacts (floats serialized at 17 significant digits, keys sorted).
+# Experiment orchestration.  MODES is the one table of experiment modes:
+# each entry names the mode's CLI subcommand, the config parts validate()
+# builds, and the runner that computes the report and the text of every
+# artifact.  run() looks the mode up, runs it, and writes the files through
+# kderates.artifacts, which alone decides the byte format.
 #
-# Replicate r of a campaign uses seed base_seed + r.  Replicates run on a
-# process pool sized by the KDERATES_WORKERS environment variable; results
-# are keyed by (n, replicate), so parallel and serial runs produce
-# identical reports.
+# Replicate r of a deviation campaign uses seed base_seed + r.  Replicates
+# run on a process pool sized by the KDERATES_WORKERS environment variable;
+# outcomes, failures included, are collected in task order, so parallel and
+# serial runs write identical artifacts.
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from . import bounds as bounds_mod
-from .dimension import RateFit, dyadic_radii, fit_loglog, voldim_estimate, voldim_sweep, write_radius_sweep_csv
-from .distributions import ReferenceDistribution, distribution_from_config, write_sample_csv
+from .artifacts import csv_text, dumps_17g, write_files
+from .dimension import RateFit, dyadic_radii, fit_loglog, radius_sweep_csv, voldim_sweep
+from .distributions import ReferenceDistribution, distribution_from_config
 from .kde import BandwidthGrid, EvalGrid, discretization_bound, kde_table, make_eval_grid
 from .kernels import Kernel, MultiIndex, kernel_from_config
 
 __all__ = [
+    "MODES",
     "ExperimentConfig",
     "DeviationReport",
     "run",
@@ -36,51 +41,8 @@ __all__ = [
     "dumps_17g",
 ]
 
-_MODES = ("rate_in_h", "rate_in_n", "voldim", "bounds", "covering", "moment_scaling")
 _WORKERS_ENV = "KDERATES_WORKERS"
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits and sorted keys.
-
-    Non-finite floats are emitted as the strings "inf"/"-inf"/"nan" to keep
-    the output strict JSON.
-    """
-    import json as _json
-
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{_json.dumps(str(k))}: {dumps_17g(obj[k], indent + 1)}' for k in sorted(obj, key=str)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{dumps_17g(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    return _json.dumps(str(obj))
+_VOLDIM_SOURCES = ("oracle", "empirical")
 
 
 def _workers() -> int:
@@ -105,8 +67,8 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; choose from {tuple(MODES)}")
 
     # convenience accessors -------------------------------------------------
     @property
@@ -138,8 +100,22 @@ class ExperimentConfig:
     def kernel(self) -> Kernel:
         return kernel_from_config(self.raw["kernel"])
 
+    def sample_sizes(self) -> list[int]:
+        if not self.n_list:
+            raise ValueError("n_list must be nonempty")
+        return self.n_list
+
+    def derivative(self) -> MultiIndex:
+        kern = self.kernel()
+        s = MultiIndex.coerce(self.s, kern.dim)
+        if s.order > kern.deriv_support:
+            raise ValueError(f"derivative order {s.order} unsupported by the {kern.form} kernel")
+        return s
+
     def bandwidth_grid(self) -> BandwidthGrid:
         g = self.raw.get("h_grid", {})
+        if "l_n" not in g:
+            raise ValueError("h_grid.l_n is required")
         l_n = float(g["l_n"])
         h_max = float(g.get("h_max", 4.0 * self.distribution().support_diameter))
         n_points = g.get("n_points")
@@ -176,25 +152,22 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
+        """Build every config part the mode's runner reads; raises ValueError."""
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.mode in ("rate_in_h", "rate_in_n", "moment_scaling", "voldim"):
-            self.distribution()
-        if self.mode in ("rate_in_h", "rate_in_n", "moment_scaling", "covering"):
-            self.kernel()
-        if self.mode in ("rate_in_h", "rate_in_n"):
-            if not self.n_list:
-                raise ValueError("n_list must be nonempty")
-            self.bandwidth_grid()
-            kern = self.kernel()
-            if MultiIndex.coerce(self.s, kern.dim).order > kern.deriv_support:
-                raise ValueError("requested derivative order unsupported by the kernel")
-        if self.mode == "bounds":
-            self.bound_spec()
+        for part in MODES[self.mode].parts:
+            part(self)
 
     def bound_spec(self) -> bounds_mod.BoundSpec:
         b = dict(self.raw.get("bounds", {}))
         return bounds_mod.BoundSpec(**b)
+
+    def voldim_sources(self) -> list[str]:
+        sources = list(self.raw.get("voldim", {}).get("sources", ["oracle"]))
+        unknown = [v for v in sources if v not in _VOLDIM_SOURCES]
+        if unknown:
+            raise ValueError(f"unknown voldim source(s) {unknown}; choose from {list(_VOLDIM_SOURCES)}")
+        return sources
 
 
 # -- deviation campaign -----------------------------------------------------------
@@ -252,31 +225,20 @@ class DeviationReport:
         raise KeyError((n, h))
 
     def to_dict(self) -> dict:
+        """The report.json content; arrays and tuples are left for dumps_17g to serialize."""
         return {
             "schema": "kderates.deviation_report/1",
             "mode": self.mode,
             "config_hash": self.config_hash,
             "base_seed": self.base_seed,
             "seeds": self.seeds,
-            "s": list(self.s),
+            "s": self.s,
             "statistic": self.statistic,
-            "h_values": [float(h) for h in self.h_values],
-            "n_list": [int(n) for n in self.n_list],
+            "h_values": self.h_values,
+            "n_list": self.n_list,
             "x_grid": {"size": self.grid_size, "spacing": self.grid_spacing},
-            "cells": [
-                {
-                    "n": c.n,
-                    "h": c.h,
-                    "sups": [float(v) for v in c.sups],
-                    "mean": c.mean,
-                    "median": c.median,
-                    "q10": c.q10,
-                    "q90": c.q90,
-                    "disc_bound": c.disc_bound,
-                }
-                for c in self.cells
-            ],
-            "failures": list(self.failures),
+            "cells": [dict(asdict(c), mean=c.mean, median=c.median, q10=c.q10, q90=c.q90) for c in self.cells],
+            "failures": self.failures,
         }
 
     @classmethod
@@ -301,47 +263,49 @@ class DeviationReport:
 
     @classmethod
     def load(cls, path) -> "DeviationReport":
-        import json
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    def files(self) -> dict[str, str]:
+        """The report's artifacts: report.json, summary.csv and replicates.csv."""
+        return {
+            "report.json": dumps_17g(self.to_dict()) + "\n",
+            "summary.csv": csv_text(
+                ("n", "h", "mean", "median", "q10", "q90", "disc_bound"),
+                [(c.n, c.h, c.mean, c.median, c.q10, c.q90, c.disc_bound) for c in self.cells],
+            ),
+            "replicates.csv": csv_text(
+                ("n", "h", "replicate", "sup"), [(c.n, c.h, r, v) for c in self.cells for r, v in enumerate(c.sups)]
+            ),
+        }
 
     def write(self, out_dir) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(dumps_17g(self.to_dict()) + "\n", encoding="utf-8")
-        with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-            fh.write("n,h,mean,median,q10,q90,disc_bound\n")
-            for c in self.cells:
-                fh.write(
-                    f"{c.n},{c.h:.17g},{c.mean:.17g},{c.median:.17g},"
-                    f"{c.q10:.17g},{c.q90:.17g},{c.disc_bound:.17g}\n"
-                )
-        with open(out / "replicates.csv", "w", encoding="utf-8") as fh:
-            fh.write("n,h,replicate,sup\n")
-            for c in self.cells:
-                for r, v in enumerate(c.sups):
-                    fh.write(f"{c.n},{c.h:.17g},{r},{v:.17g}\n")
+        write_files(out_dir, self.files())
 
 
-def _deviation_task(args) -> tuple[int, int, np.ndarray]:
-    """One replicate: sample, evaluate the KDE tables, sup per bandwidth."""
+def _deviation_task(args) -> np.ndarray | str:
+    """One replicate: sample, evaluate the KDE tables, sup per bandwidth.
+
+    A replicate that raises comes back as its failure message, which the
+    report records while the other replicates go on.
+    """
     dist_cfg, kernel_cfg, s, n, r, seed, h_values, X, oracle = args
-    dist = distribution_from_config(dist_cfg)
-    kernel = kernel_from_config(kernel_cfg)
-    sample = dist.sample(n, seed)
-    est = kde_table(sample, kernel, h_values, X, s=s)
-    per_h = np.abs(est - oracle).max(axis=1)
-    return n, r, per_h
+    try:
+        dist = distribution_from_config(dist_cfg)
+        kernel = kernel_from_config(kernel_cfg)
+        est = kde_table(dist.sample(n, seed), kernel, h_values, X, s=s)
+        return np.abs(est - oracle).max(axis=1)
+    except Exception as exc:
+        return f"n={n} replicate={r}: {exc}"
 
 
-def _run_deviation(config: ExperimentConfig, out_dir) -> DeviationReport:
+def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str, str]]:
     dist = config.distribution()
     kernel = config.kernel()
-    s = MultiIndex.coerce(config.s, kernel.dim)
+    s = config.derivative()
     h_grid = config.bandwidth_grid()
     x_grid = config.eval_grid(dist)
-    failures: list[str] = []
+    n_list = config.sample_sizes()
+    reps = config.replicates
 
     oracle = dist.smoothed_derivative_table(kernel, s, h_grid.values, x_grid.points)
 
@@ -349,44 +313,27 @@ def _run_deviation(config: ExperimentConfig, out_dir) -> DeviationReport:
     kernel_cfg = config.raw["kernel"]
     tasks = [
         (dist_cfg, kernel_cfg, s.orders, n, r, config.base_seed + r, h_grid.values, x_grid.points, oracle)
-        for n in config.n_list
-        for r in range(config.replicates)
+        for n in n_list
+        for r in range(reps)
     ]
-    results: dict[tuple[int, int], np.ndarray] = {}
     workers = _workers()
     if workers == 1 or len(tasks) == 1:
-        for t in tasks:
-            try:
-                n, r, per_h = _deviation_task(t)
-                results[(n, r)] = per_h
-            except Exception as exc:  # record and continue
-                failures.append(f"n={t[3]} replicate={t[4]}: {exc}")
+        outcomes = [_deviation_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_deviation_task, t): t for t in tasks}
-            for fut, t in futures.items():
-                try:
-                    n, r, per_h = fut.result()
-                    results[(n, r)] = per_h
-                except Exception as exc:
-                    failures.append(f"n={t[3]} replicate={t[4]}: {exc}")
-        failures.sort()
+            futures = [pool.submit(_deviation_task, t) for t in tasks]
+            outcomes = [f.result() for f in futures]
 
     cells = []
-    for n in config.n_list:
-        sups_by_rep = [results[(n, r)] for r in range(config.replicates) if (n, r) in results]
+    for k, n in enumerate(n_list):
+        sups_by_rep = [o for o in outcomes[k * reps : (k + 1) * reps] if not isinstance(o, str)]
         if not sups_by_rep:
             continue
         mat = np.stack(sups_by_rep, axis=0)  # (replicates, H)
-        for i, h in enumerate(h_grid.values):
-            cells.append(
-                DeviationCell(
-                    n=int(n),
-                    h=float(h),
-                    sups=mat[:, i].copy(),
-                    disc_bound=discretization_bound(kernel, s, x_grid.spacing, float(h)),
-                )
-            )
+        cells += [
+            DeviationCell(int(n), float(h), mat[:, i].copy(), discretization_bound(kernel, s, x_grid.spacing, float(h)))
+            for i, h in enumerate(h_grid.values)
+        ]
     report = DeviationReport(
         mode=config.mode,
         config_hash=config.config_hash(),
@@ -394,18 +341,28 @@ def _run_deviation(config: ExperimentConfig, out_dir) -> DeviationReport:
         s=s.orders,
         statistic=config.statistic,
         h_values=h_grid.values,
-        n_list=config.n_list,
+        n_list=n_list,
         grid_size=x_grid.size,
         grid_spacing=x_grid.spacing,
         cells=cells,
-        failures=failures,
+        failures=[o for o in outcomes if isinstance(o, str)],
     )
-    if out_dir is not None:
-        report.write(out_dir)
-        if config.raw.get("export_sample_csv"):
-            sample = dist.sample(config.n_list[0], config.base_seed)
-            write_sample_csv(sample, Path(out_dir) / "sample.csv")
-    return report
+    files = report.files()
+    if config.raw.get("export_sample_csv"):
+        sample = dist.sample(n_list[0], config.base_seed)
+        files["sample.csv"] = csv_text([f"x{i}" for i in range(sample.shape[1])], sample)
+    return report, files
+
+
+def _axis_cells(report: DeviationReport, axis: str) -> tuple[list[DeviationCell], np.ndarray]:
+    """The cells sorted along axis "h" or "n", and their axis values; the other axis must be fixed."""
+    if axis not in ("h", "n"):
+        raise ValueError("axis must be 'h' or 'n'")
+    fixed, name = ("n", "sample size") if axis == "h" else ("h", "bandwidth")
+    if len({getattr(c, fixed) for c in report.cells}) != 1:
+        raise ValueError(f"{axis}-axis fit needs a single {name} in the report")
+    cells = sorted(report.cells, key=lambda c: getattr(c, axis))
+    return cells, np.array([float(getattr(c, axis)) for c in cells])
 
 
 def fit_rate(report: DeviationReport, axis: str, statistic: str | None = None) -> RateFit:
@@ -413,20 +370,7 @@ def fit_rate(report: DeviationReport, axis: str, statistic: str | None = None) -
     statistic = statistic or report.statistic
     if statistic not in ("mean", "median"):
         raise ValueError("statistic must be 'mean' or 'median'")
-    if axis == "h":
-        ns = sorted({c.n for c in report.cells})
-        if len(ns) != 1:
-            raise ValueError("h-axis fit needs a single sample size in the report")
-        cells = sorted((c for c in report.cells), key=lambda c: c.h)
-        xs = np.array([c.h for c in cells])
-    elif axis == "n":
-        hs = sorted({c.h for c in report.cells})
-        if len(hs) != 1:
-            raise ValueError("n-axis fit needs a single bandwidth in the report")
-        cells = sorted((c for c in report.cells), key=lambda c: c.n)
-        xs = np.array([float(c.n) for c in cells])
-    else:
-        raise ValueError("axis must be 'h' or 'n'")
+    cells, xs = _axis_cells(report, axis)
     ys = np.array([getattr(c, statistic) for c in cells])
     if np.any(ys <= 0):
         raise ValueError("zero statistic value: log-log fit undefined")
@@ -439,39 +383,25 @@ def emit_plots(report: DeviationReport, out_dir, statistic: str | None = None) -
     One pair of files per available axis; refuses when an axis has a single
     grid point.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    statistic = statistic or report.statistic
-    ns = sorted({c.n for c in report.cells})
-    hs = sorted({c.h for c in report.cells})
-    axes = []
-    if len(hs) > 1 and len(ns) == 1:
-        axes.append("h")
-    if len(ns) > 1 and len(hs) == 1:
-        axes.append("n")
+    ns = {c.n for c in report.cells}
+    hs = {c.h for c in report.cells}
+    axes = [axis for axis, varied, fixed in (("h", hs, ns), ("n", ns, hs)) if len(varied) > 1 and len(fixed) == 1]
     if not axes:
         raise ValueError("no axis with at least two grid points and a fixed partner; nothing to plot")
-    written = []
+    files = {}
     for axis in axes:
         fit = fit_rate(report, axis, statistic)
-        cells = sorted(report.cells, key=lambda c: c.h if axis == "h" else c.n)
-        xs = np.array([c.h if axis == "h" else float(c.n) for c in cells])
-        means = np.array([c.mean for c in cells])
-        medians = np.array([c.median for c in cells])
+        cells, xs = _axis_cells(report, axis)
         log_x = np.log(xs)
+        log_medians = np.log([c.median for c in cells])
         fit_vals = fit.slope * log_x + fit.intercept
-        csv_path = out / f"plot_{axis}.csv"
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(f"log_{axis},log_sup_mean,log_sup_median,fit_value\n")
-            for lx, lm, lmed, fv in zip(log_x, np.log(means), np.log(medians), fit_vals):
-                fh.write(f"{lx:.17g},{lm:.17g},{lmed:.17g},{fv:.17g}\n")
-        svg_path = out / f"plot_{axis}.svg"
-        svg_path.write_text(
-            _scatter_svg(log_x, np.log(medians), fit_vals, f"log {axis}", "log sup deviation"),
-            encoding="utf-8",
+        files[f"plot_{axis}.csv"] = csv_text(
+            (f"log_{axis}", "log_sup_mean", "log_sup_median", "fit_value"),
+            zip(log_x, np.log([c.mean for c in cells]), log_medians, fit_vals),
         )
-        written.extend([csv_path, svg_path])
-    return written
+        files[f"plot_{axis}.svg"] = _scatter_svg(log_x, log_medians, fit_vals, f"log {axis}", "log sup deviation")
+    write_files(out_dir, files)
+    return [Path(out_dir) / name for name in files]
 
 
 def _scatter_svg(x, y, line, xlabel, ylabel, width=640, height=480) -> str:
@@ -510,17 +440,14 @@ def _scatter_svg(x, y, line, xlabel, ylabel, width=640, height=480) -> str:
 # -- other modes ------------------------------------------------------------------
 
 
-def _run_moments(config: ExperimentConfig, out_dir) -> dict:
+def _run_moments(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     dist = config.distribution()
     kernel = config.kernel()
-    s = MultiIndex.coerce(config.s, kernel.dim)
-    mcfg = config.raw.get("moment", {})
-    k = float(mcfg.get("k", 2.0))
+    s = config.derivative()
+    k = float(config.raw.get("moment", {}).get("k", 2.0))
     h_grid = config.bandwidth_grid()
     x_grid = config.eval_grid(dist)
-    values = np.empty(h_grid.values.size)
-    for i, h in enumerate(h_grid.values):
-        values[i] = max(dist.moment_k(kernel, x, float(h), k, s) for x in x_grid.points)
+    values = np.array([max(dist.moment_k(kernel, x, float(h), k, s) for x in x_grid.points) for h in h_grid.values])
     fit = fit_loglog(h_grid.values, values)
     report = {
         "schema": "kderates.moment_report/1",
@@ -530,26 +457,16 @@ def _run_moments(config: ExperimentConfig, out_dir) -> dict:
         "s": list(s.orders),
         "h_values": [float(h) for h in h_grid.values],
         "values": [float(v) for v in values],
-        "fit": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "r_window": list(fit.r_window),
-        },
+        "fit": {k: v for k, v in asdict(fit).items() if k != "n_points"},
         "analytic_voldim": dist.analytic_voldim,
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "moments.json").write_text(dumps_17g(report) + "\n", encoding="utf-8")
-        with open(out / "moments.csv", "w", encoding="utf-8") as fh:
-            fh.write("h,moment\n")
-            for h, v in zip(h_grid.values, values):
-                fh.write(f"{h:.17g},{v:.17g}\n")
-    return report
+    return report, {
+        "moments.json": dumps_17g(report) + "\n",
+        "moments.csv": csv_text(("h", "moment"), zip(h_grid.values, values)),
+    }
 
 
-def _run_voldim(config: ExperimentConfig, out_dir) -> dict:
+def _run_voldim(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     dist = config.distribution()
     vcfg = config.raw.get("voldim", {})
     x_grid = config.eval_grid(dist)
@@ -558,7 +475,6 @@ def _run_voldim(config: ExperimentConfig, out_dir) -> dict:
     else:
         radii = dyadic_radii(dist.support_diameter, int(vcfg.get("j_min", 3)), int(vcfg.get("j_max", 8)))
     window = tuple(float(v) for v in vcfg["window"]) if vcfg.get("window") else None
-    sources = vcfg.get("sources", ["oracle"])
     report: dict = {
         "schema": "kderates.voldim_report/1",
         "mode": "voldim",
@@ -567,47 +483,25 @@ def _run_voldim(config: ExperimentConfig, out_dir) -> dict:
         "radii": [float(r) for r in radii],
         "fits": {},
     }
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    for source in sources:
-        if source == "oracle":
-            sweep = voldim_sweep(dist, x_grid, radii)
-            fit = fit_loglog(sweep.radii, sweep.sup_probs, window)
-        elif source == "empirical":
-            n = int(vcfg.get("n", 100_000))
-            sample = dist.sample(n, config.base_seed)
-            sweep = voldim_sweep(sample, x_grid, radii)
-            fit = fit_loglog(sweep.radii, sweep.sup_probs, window)
-        else:
-            raise ValueError(f"unknown voldim source {source!r}")
-        report["fits"][source] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "r_window": list(fit.r_window),
-            "n_points": fit.n_points,
-        }
-        if out is not None:
-            write_radius_sweep_csv(sweep, out / f"sweep_{source}.csv")
-    if out is not None:
-        (out / "voldim.json").write_text(dumps_17g(report) + "\n", encoding="utf-8")
-    return report
+    files = {}
+    for source in config.voldim_sources():
+        data = dist if source == "oracle" else dist.sample(int(vcfg.get("n", 100_000)), config.base_seed)
+        sweep = voldim_sweep(data, x_grid, radii)
+        fit = fit_loglog(sweep.radii, sweep.sup_probs, window)
+        report["fits"][source] = asdict(fit)
+        files[f"sweep_{source}.csv"] = radius_sweep_csv(sweep)
+    files["voldim.json"] = dumps_17g(report) + "\n"
+    return report, files
 
 
-def _run_bounds(config: ExperimentConfig, out_dir) -> dict:
-    spec = config.bound_spec()
-    report = bounds_mod.bound_report(spec)
+def _run_bounds(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
+    report = bounds_mod.bound_report(config.bound_spec())
     report["schema"] = "kderates.bound_report/1"
     report["config_hash"] = config.config_hash()
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bounds.json").write_text(dumps_17g(report) + "\n", encoding="utf-8")
-    return report
+    return report, {"bounds.json": dumps_17g(report) + "\n"}
 
 
-def _run_covering(config: ExperimentConfig, out_dir) -> dict:
+def _run_covering(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     kernel = config.kernel()
     ccfg = config.raw.get("covering", {})
     R = float(ccfg.get("R", 1.0))
@@ -626,15 +520,12 @@ def _run_covering(config: ExperimentConfig, out_dir) -> dict:
         grid = grid[np.linalg.norm(grid, axis=1) <= R]
     q_sample = rng.uniform(-R, R, size=(q_size, d))
     rows = []
-    violations = 0
     for h in h_values:
         for frac in eta_fracs:
             eta = frac * kernel.sup_norm
             emp = bounds_mod.empirical_covering(kernel, h, grid, q_sample, eta)
             bnd = bounds_mod.covering_bound(kernel, h, R, eta)
-            ok = emp <= bnd
-            violations += 0 if ok else 1
-            rows.append({"h": h, "eta": eta, "empirical": emp, "bound": bnd, "ok": ok})
+            rows.append({"h": h, "eta": eta, "empirical": emp, "bound": bnd, "ok": emp <= bnd})
     report = {
         "schema": "kderates.covering_report/1",
         "mode": "covering",
@@ -642,17 +533,41 @@ def _run_covering(config: ExperimentConfig, out_dir) -> dict:
         "kernel": dict(config.raw["kernel"]),
         "R": R,
         "rows": rows,
-        "violations": violations,
+        "violations": sum(not row["ok"] for row in rows),
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "covering.json").write_text(dumps_17g(report) + "\n", encoding="utf-8")
-        with open(out / "covering.csv", "w", encoding="utf-8") as fh:
-            fh.write("h,eta,empirical,bound,ok\n")
-            for row in rows:
-                fh.write(f"{row['h']:.17g},{row['eta']:.17g},{row['empirical']},{row['bound']:.17g},{int(row['ok'])}\n")
-    return report
+    columns = ("h", "eta", "empirical", "bound", "ok")
+    return report, {
+        "covering.json": dumps_17g(report) + "\n",
+        "covering.csv": csv_text(columns, [[row[c] for c in columns] for row in rows]),
+    }
+
+
+# -- the mode table ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A mode's CLI subcommand, the config accessors validate() calls (each
+    raises ValueError on a malformed part) and its runner, which returns the
+    report and {file name: artifact text}."""
+
+    command: str
+    parts: tuple[Callable[[ExperimentConfig], object], ...]
+    runner: Callable[[ExperimentConfig], tuple[object, dict[str, str]]]
+
+
+# derivative() builds the kernel it checks the order against
+_KDE_PARTS = (ExperimentConfig.distribution, ExperimentConfig.derivative, ExperimentConfig.bandwidth_grid)
+_CAMPAIGN_PARTS = (*_KDE_PARTS, ExperimentConfig.sample_sizes)
+
+MODES = {
+    "rate_in_h": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
+    "rate_in_n": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
+    "moment_scaling": Mode("moments", _KDE_PARTS, _run_moments),
+    "voldim": Mode("voldim", (ExperimentConfig.distribution, ExperimentConfig.voldim_sources), _run_voldim),
+    "bounds": Mode("bounds", (ExperimentConfig.bound_spec,), _run_bounds),
+    "covering": Mode("covering", (ExperimentConfig.kernel,), _run_covering),
+}
 
 
 def run(config: ExperimentConfig, out_dir=None):
@@ -662,14 +577,7 @@ def run(config: ExperimentConfig, out_dir=None):
     persisted under ``out_dir`` when given.  Returns the mode-specific
     report object.
     """
-    if config.mode in ("rate_in_h", "rate_in_n"):
-        return _run_deviation(config, out_dir)
-    if config.mode == "moment_scaling":
-        return _run_moments(config, out_dir)
-    if config.mode == "voldim":
-        return _run_voldim(config, out_dir)
-    if config.mode == "bounds":
-        return _run_bounds(config, out_dir)
-    if config.mode == "covering":
-        return _run_covering(config, out_dir)
-    raise ValueError(f"unknown mode {config.mode!r}")
+    report, files = MODES[config.mode].runner(config)
+    if out_dir is not None:
+        write_files(out_dir, files)
+    return report

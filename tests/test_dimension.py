@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kderates.dimension import (
-    RateFit,
     assumption_check,
     box_dimension_estimate,
     correlation_dimension_estimate,
@@ -13,7 +12,6 @@ from kderates.dimension import (
     voldim_estimate,
     voldim_sweep,
     write_radius_sweep_csv,
-    write_rate_fit_csv,
     _empirical_counts,
 )
 from kderates.distributions import Mixture, PointMasses, UnboundedBall, UniformCircle, UniformCube
@@ -323,7 +321,3 @@ class TestFitPlumbing:
         lines = p1.read_text().strip().splitlines()
         assert lines[0] == "r,sup_prob"
         assert len(lines) == 6
-        fit = RateFit(1.0, 0.5, (0.05, 0.3), 0.01, 5)
-        p2 = tmp_path / "fit.csv"
-        write_rate_fit_csv(fit, p2)
-        assert p2.read_text().splitlines()[0] == "slope,intercept,r_min,r_max,residual,n_points"

@@ -13,8 +13,8 @@ from kderates.distributions import (
     UniformCube,
     UniformSphere,
     distribution_from_config,
-    write_sample_csv,
 )
+from kderates.harness import ExperimentConfig, run
 from kderates.kernels import Kernel
 
 
@@ -427,11 +427,21 @@ def test_distribution_from_config():
         distribution_from_config({"kind": "gamma"})
 
 
-def test_write_sample_csv(tmp_path):
+def test_write_sample_csv(tmp_path, monkeypatch):
+    monkeypatch.setenv("KDERATES_WORKERS", "1")
+    cfg = {
+        "mode": "rate_in_h",
+        "distribution": {"kind": "uniform_cube", "dim": 2},
+        "kernel": {"form": "gaussian", "dim": 2},
+        "n_list": [10],
+        "h_grid": {"l_n": 0.2, "n_points": 1},
+        "x_grid": {"target_size": 4},
+        "base_seed": 1,
+        "export_sample_csv": True,
+    }
+    run(ExperimentConfig.from_dict(cfg), tmp_path)
     pts = UniformCube(2).sample(10, seed=1)
-    path = tmp_path / "sample.csv"
-    write_sample_csv(pts, path)
-    lines = path.read_text().strip().splitlines()
+    lines = (tmp_path / "sample.csv").read_text().strip().splitlines()
     assert lines[0] == "x0,x1"
     assert len(lines) == 11
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

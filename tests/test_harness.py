@@ -1,17 +1,20 @@
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as etree
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from kderates.harness import DeviationReport, ExperimentConfig, dumps_17g, emit_plots, fit_rate, run
-from kderates.cli import main as cli_main
-from kderates.distributions import UniformCircle, distribution_from_config
+from kderates.harness import MODES, DeviationReport, ExperimentConfig, dumps_17g, emit_plots, fit_rate, run
+from kderates.cli import _build_parser, main as cli_main
+from kderates.distributions import UniformCircle, UniformCube, distribution_from_config
 from kderates.kernels import kernel_from_config
 
 
@@ -60,6 +63,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_rate_config(distribution={"kind": "unbounded_ball", "dim": 2, "beta": 3.0})
 
+    def test_unknown_voldim_source(self):
+        with pytest.raises(ValueError, match="emprical"):
+            ExperimentConfig.from_dict(
+                {"mode": "voldim", "distribution": _CIRCLE, "voldim": {"sources": ["oracle", "emprical"]}}
+            )
+
+    def test_moments_need_h_grid(self):
+        with pytest.raises(ValueError, match="l_n"):
+            ExperimentConfig.from_dict({"mode": "moment_scaling", "distribution": _CIRCLE, "kernel": _GAUSS2})
+
+    def test_moments_derivative_order_checked(self):
+        with pytest.raises(ValueError, match="derivative order"):
+            ExperimentConfig.from_dict(
+                {
+                    "mode": "moment_scaling",
+                    "distribution": {"kind": "uniform_cube", "dim": 1},
+                    "kernel": {"form": "epanechnikov", "dim": 1},
+                    "s": [1],
+                    "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
+                }
+            )
+
     def test_hash_changes_with_seed_not_outdir(self):
         a = small_rate_config()
         b = small_rate_config(base_seed=78)
@@ -87,6 +112,40 @@ class TestDeterminism:
         run(small_rate_config(), tmp_path / "par")
         for name in ("report.json", "summary.csv", "replicates.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched sampler must reach the workers")
+    def test_failed_replicates_same_serial_and_parallel(self, tmp_path, monkeypatch):
+        real_sample = UniformCube.sample
+
+        def sample(self, n, seed):
+            if seed in (78, 87):  # replicates 1 and 10
+                raise RuntimeError("stub failure")
+            return real_sample(self, n, seed)
+
+        monkeypatch.setattr(UniformCube, "sample", sample)
+        cfg = small_rate_config(n_list=[500, 2000], replicates=11, h_grid={"l_n": 0.1, "h_max": 0.4, "n_points": 2})
+        monkeypatch.setenv("KDERATES_WORKERS", "1")
+        serial = run(cfg, tmp_path / "serial")
+        monkeypatch.setenv("KDERATES_WORKERS", "2")
+        run(cfg, tmp_path / "par")
+        assert serial.failures == [f"n={n} replicate={r}: stub failure" for n in (500, 2000) for r in (1, 10)]
+        assert all(c.sups.size == 9 for c in serial.cells)
+        for name in ("report.json", "summary.csv", "replicates.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched sampler must reach the workers")
+    def test_killed_worker_raises(self, tmp_path, monkeypatch):
+        parent, real_sample = os.getpid(), UniformCube.sample
+
+        def sample(self, n, seed):
+            if os.getpid() != parent and seed == 78:
+                os._exit(1)
+            return real_sample(self, n, seed)
+
+        monkeypatch.setattr(UniformCube, "sample", sample)
+        monkeypatch.setenv("KDERATES_WORKERS", "2")
+        with pytest.raises(BrokenProcessPool):
+            run(small_rate_config(), tmp_path)
 
     def test_point_mass_sample_all_zero(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KDERATES_WORKERS", "1")
@@ -490,6 +549,12 @@ _GOLDEN_SHA256 = {
         "voldim.json": "be1065d3f60d70ac8b220f0ee222a4d0e06a16e40bf707392b9db626506532fa",
     },
 }
+
+
+def test_modes_table_covers_golden_and_cli():
+    assert {cfg["mode"] for cfg in _GOLDEN_CONFIGS.values()} == set(MODES)
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    assert set(subcommands) - {"fit"} == {m.command for m in MODES.values()}
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
