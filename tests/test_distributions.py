@@ -307,6 +307,15 @@ class TestMomentK:
         direct, _ = dist._expect_radial(x, g)
         assert got == pytest.approx(direct, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "x, h, bits", [((0.0, 0.0), 0.1, "0x1.6224a912ebe6ap-6"), ((0.6, 0.5), 0.4, "0x1.b45e981544475p-7")]
+    )
+    def test_ball2_epanechnikov_quadrature_pinned(self, x, h, bits):
+        # the nested radial/angular quadrature of the 2-D ball, pinned bit for bit;
+        # a moment_scaling golden config on this route takes about 40 s
+        dist = UnboundedBall(2, 1.0)
+        assert dist.moment_k(Kernel.epanechnikov(2), np.array(x), h, 2.0) == float.fromhex(bits)
+
     def test_circle_moment_scaling_slope(self):
         dist = UniformCircle(1.0)
         x = np.array([1.0, 0.0])

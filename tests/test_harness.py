@@ -418,6 +418,19 @@ def _golden_rate(mode, distribution, kernel, **extra):
     return cfg
 
 
+def _golden_moments(distribution, kernel, **extra):
+    cfg = {
+        "mode": "moment_scaling",
+        "distribution": distribution,
+        "kernel": kernel,
+        "moment": {"k": 2.0},
+        "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
+        "x_grid": {"target_size": 9},
+    }
+    cfg.update(extra)
+    return cfg
+
+
 # Each config covers one oracle route; the artifacts are hashed whole.
 _GOLDEN_CONFIGS = {
     "cube1_s1": _golden_rate("rate_in_h", {"kind": "uniform_cube", "dim": 1}, {"form": "gaussian", "dim": 1}, s=[1]),
@@ -468,6 +481,32 @@ _GOLDEN_CONFIGS = {
         "covering": {"h_values": [0.2, 0.5], "eta_fracs": [0.1, 0.5], "grid_size": 32, "q_size": 64},
         "base_seed": 4,
     },
+    "moments_gauss_circle": _golden_moments(_CIRCLE, _GAUSS2, x_grid={"target_size": 16}),
+    "moments_gauss_cube2_s10": _golden_moments(_CUBE2, _GAUSS2, s=[1, 0]),
+    "moments_point_masses_s10": _golden_moments(
+        {"kind": "point_masses", "locations": [[0.0, 0.0], [0.5, 0.25], [-0.3, 0.7]], "weights": [0.2, 0.3, 0.5]},
+        _GAUSS2,
+        s=[1, 0],
+        moment={"k": 3.0},
+    ),
+    "moments_gauss_mixture": _golden_moments(
+        {"kind": "mixture", "components": [_CIRCLE, _CUBE2], "weights": [0.4, 0.6]}, _GAUSS2, x_grid={"target_size": 16}
+    ),
+    "moments_epan_sphere2": _golden_moments(
+        {"kind": "uniform_sphere", "manifold_dim": 2}, {"form": "epanechnikov", "dim": 3}, x_grid={"target_size": 12}
+    ),
+    "moments_epan_ball1": _golden_moments(
+        {"kind": "unbounded_ball", "dim": 1, "beta": 0.5}, {"form": "epanechnikov", "dim": 1}
+    ),
+    "ball_s01": _golden_rate(
+        "rate_in_h", {"kind": "unbounded_ball", "dim": 2, "beta": 1.0}, _GAUSS2, s=[0, 1], x_grid={"target_size": 6}
+    ),
+    "voldim_oracle_cube2": {
+        "mode": "voldim",
+        "distribution": _CUBE2,
+        "x_grid": {"target_size": 16},
+        "voldim": {"sources": ["oracle"], "j_min": 2, "j_max": 6},
+    },
     "cube2_sample": _golden_rate("rate_in_h", _CUBE2, _GAUSS2, n_list=[500], export_sample_csv=True),
     # the fit subcommand needs at least 4 bandwidths
     "cube1_fit": _golden_rate(
@@ -483,6 +522,11 @@ _GOLDEN_SHA256 = {
         "replicates.csv": "302d104dfdbb5e0b039babd92731bc8e5d1c022224e37261904a8c17b175e4cb",
         "report.json": "c4acca5e65f31e6eda177c8f6e82500ace857c00b6375a3e701088972cd27e3d",
         "summary.csv": "b696b4f3223eec6980aa0557d5a6cc1653e83824c64206481d15dbcce94bfb84",
+    },
+    "ball_s01": {
+        "replicates.csv": "92a9641a8429467b46e96d48b57ce7f185aba2c401459b02c754cf7ffdb9db61",
+        "report.json": "11bc67a6f250ae938c0ef41b56de4bedd490ec019690d71fc67be72af4256ea8",
+        "summary.csv": "cd243b0b7de77b4ce99c7aa308f28f2c24aaa0857391f2e4310dbfbb764083fb",
     },
     "bounds_sigma2": {
         "bounds.json": "d1e42f65103613f3932cbcba6f7aa08fdf35020d889ef7903541764c130fab3e",
@@ -525,9 +569,33 @@ _GOLDEN_SHA256 = {
         "report.json": "7a18aecc807353bf3fe984eac20cc22a6c5b5035e12e92a086367e4e6ce608bb",
         "summary.csv": "cdb3af8b3463aa6d3164da0f00c5afd917ac7cf4e85f6a19afd7fdf3ab7b25ac",
     },
+    "moments_epan_ball1": {
+        "moments.csv": "a70ae076dc1ab4260b65da04bcc537e0063a2222229f52fdade74d32b2091aa2",
+        "moments.json": "56a0c32f36dea34c9791530ed8895cf9d4ed6286277db751507ce61f33b0d1c6",
+    },
     "moments_epan_cube1": {
         "moments.csv": "34e5c79ebe0c730764af31161ae9a10c3dbd8e87f18776e9b71d224f301ca014",
         "moments.json": "1a3d3ce8a3bdaa263881855c5b0f7c0900d8f82d03268ebe11273dd14110a342",
+    },
+    "moments_epan_sphere2": {
+        "moments.csv": "f71d62b9714efa976c01f4d5665db4c9696dcde716d4c302bb6ea9e6a171cabf",
+        "moments.json": "78c5cc929bf692730c3b9c9016a2b16002899fae464fbafc23b6c241c6947582",
+    },
+    "moments_gauss_circle": {
+        "moments.csv": "bb1d9df0d53390ba54544c56a44aeb5c00205d2dc9cf5e98aa618020b8762aaa",
+        "moments.json": "fc314862d980b8f1668f56b618476d8889d01766f792752e41b1fddb6eb888f2",
+    },
+    "moments_gauss_cube2_s10": {
+        "moments.csv": "f137cd75b4892aba02ee630c657eb80c8266ad310d01e997b3425a2d1dc89d7e",
+        "moments.json": "aa37bcc63e4d70993194b22d0005cc33c73ad93412068ff54af37559c543ae11",
+    },
+    "moments_gauss_mixture": {
+        "moments.csv": "171368cddf88152a3b1c0b71fbf510548f7005ca33cf7b8a66f3c480fbeb7c91",
+        "moments.json": "4d605995543eefa38a65b8417423a6c19c4081715d5e5e7400d48a8bee9f54b2",
+    },
+    "moments_point_masses_s10": {
+        "moments.csv": "35a2eef754f7dd1dc476334bc5517946f2db513037fabeff819c74353c5e5aa0",
+        "moments.json": "87b4198fdedaa7530a98d435f5707427f1326cb683da6dceac10a0127a3aa638",
     },
     "point_masses": {
         "replicates.csv": "3e2fdb585bed9bd947a8af62d65b458297598df753003fa606460d8faec0621d",
@@ -547,6 +615,10 @@ _GOLDEN_SHA256 = {
     "voldim_oracle": {
         "sweep_oracle.csv": "74bb9407a5904cd17338827f3c39459d0b2a7d9f913295992fff415633049516",
         "voldim.json": "be1065d3f60d70ac8b220f0ee222a4d0e06a16e40bf707392b9db626506532fa",
+    },
+    "voldim_oracle_cube2": {
+        "sweep_oracle.csv": "4cb1722d79cbb611fcd86f7b338cd885664f2761391a698a7e82a6cd66241643",
+        "voldim.json": "71cd639b10cbc85e145ec5fd31af891958b96cc9feef5a6e14d0f602cb82f16d",
     },
 }
 
