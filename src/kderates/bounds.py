@@ -166,7 +166,7 @@ def empirical_covering(kernel: Kernel, h: float, x_grid, q_sample, eta: float, s
         raise ValueError("grid/sample dimension mismatch with the kernel")
     s = MultiIndex.coerce(s, kernel.dim)
     diff = (X[:, None, :] - Q[None, :, :]) / h
-    F = kernel.deriv_eval_many(s, diff) if not s.is_zero() else kernel.eval_many(diff)
+    F = kernel.deriv_eval_many(s, diff)
     uncovered = np.ones(X.shape[0], dtype=bool)
     count = 0
     for i in range(X.shape[0]):

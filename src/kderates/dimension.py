@@ -16,7 +16,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,10 +132,7 @@ def voldim_sweep(source, x_grid, radii) -> RadiusSweep:
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     if isinstance(source, ReferenceDistribution):
-        probs = np.empty(radii.size)
-        for i, r in enumerate(radii):
-            probs[i] = max(source.ball_prob(x, float(r)) for x in X)
-        return RadiusSweep(radii, probs, "oracle")
+        return RadiusSweep(radii, source.ball_prob_table(radii, X).max(axis=1), "oracle")
     sample = _as_sample(source)
     counts = _empirical_counts(sample, X, radii)
     probs = counts.max(axis=1) / sample.shape[0]
@@ -164,10 +160,8 @@ def assumption_check(dist: ReferenceDistribution, x_grid, radii, nu: float) -> d
         raise ValueError("nu must be nonnegative")
     X = np.atleast_2d(np.asarray(getattr(x_grid, "points", x_grid), dtype=float))
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
-    ratios = np.empty((X.shape[0], radii.size))
-    for j, x in enumerate(X):
-        for i, r in enumerate(radii):
-            ratios[j, i] = dist.ball_prob(x, float(r)) / r**nu
+    r_nu = np.array([float(r) ** nu for r in radii])
+    ratios = (dist.ball_prob_table(radii, X) / r_nu[:, None]).T
     small = radii.size // 2
     per_x_min = ratios[:, small:].min(axis=1)
     return {"max_ratio": float(ratios.max()), "min_liminf_ratio": float(per_x_min.max())}

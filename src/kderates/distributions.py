@@ -6,24 +6,31 @@
 # Sampling uses the counter-based Philox 4x64 generator, so streams are
 # reproducible across platforms for a given 64-bit seed.
 #
-# p_h and D^s p_h have one entry point, smoothed_derivative_table, which
-# validates its inputs and returns the (bandwidth, point) table; a pointwise
-# value is the 1x1 table.  Each distribution offers at most one table route,
-# its _table hook, and returns None where it has none:
-#   point masses        exact finite sums over the atoms
-#   cube + Gaussian     products of 1-D normal CDF (or density-derivative)
-#                       differences, exact
-#   circle + Gaussian   p_h in closed form via the scaled Bessel I0
-#   ball + Gaussian     p_h in 2-D as a certified 1-D quadrature of the
-#                       Bessel I0 form over the radius
-#   mixtures            the weighted sum of the component tables
-# Every other cell is filled by low-dimensional quadrature over the manifold
-# or radial parameter, with certified error.
+# Three oracles, each a (row, point) table with shape (len(values), len(X)):
+#   smoothed_derivative_table(kernel, s, h_values, X)   D^s p_h(x) (s = 0: p_h)
+#   moment_table(kernel, s, h_values, X, k)             E|D^s K((x - X)/h)|^k
+#   ball_prob_table(radii, X)                           P(B(x, r)), open ball
+# All three share one input check, and every pointwise entry point
+# (smoothed_density, smoothed_derivative, moment_k, ball_prob) is the 1x1
+# table.  A distribution offers exact routes through two hooks, each
+# returning None where it has none:
+#   _table          point masses (finite sums over the atoms), cube + Gaussian
+#                   (products of 1-D normal CDF or density-derivative
+#                   differences), circle + Gaussian (p_h via the scaled Bessel
+#                   I0), ball + Gaussian (p_h in 2-D as a certified 1-D
+#                   quadrature of the Bessel I0 form over the radius), and
+#                   mixtures (the weighted sum of the component tables)
+#   _moment_table   point masses, cube + Gaussian derivatives (products of
+#                   1-D quadratures), and mixtures (the same weighted sum)
+# A Gaussian moment with s = 0 is a rescaled p_h table.  Every other cell,
+# and every ball probability, is filled by one certified per-cell routine
+# over low-dimensional quadrature on the manifold or radial parameter; the
+# sphere and the ball share one sphere-average quadrature.
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -104,27 +111,24 @@ class ReferenceDistribution:
     def _sample(self, n: int, seed: int) -> np.ndarray:
         raise NotImplementedError
 
-    # -- ball probability ---------------------------------------------------
+    # -- the three oracle tables -------------------------------------------------
 
-    def ball_prob(self, x, r: float, return_error: bool = False):
-        """P(B(x, r)) for the open Euclidean ball, with optional error bound."""
-        if r <= 0:
-            raise ValueError("r must be positive")
-        x = self._check_point(x)
-        p, err = self._ball_prob_impl(x, float(r))
-        p = min(max(p, 0.0), 1.0)
-        if err > self._ball_tol:
-            raise QuadratureError(
-                f"ball_prob accuracy target {self._ball_tol} unreachable (achieved {err:.2e})",
-                estimate=p,
-                error=err,
-            )
-        return (p, err) if return_error else p
+    def ball_prob(self, x, r: float) -> float:
+        """P(B(x, r)) for the open Euclidean ball, as the 1x1 table."""
+        return float(self.ball_prob_table([r], np.asarray(x, dtype=float)[None])[0, 0])
+
+    def ball_prob_table(self, radii, X) -> np.ndarray:
+        """P(B(x, r)) over a radius list and point rows; shape (len(r), len(X))."""
+        _, radii, X = self._check_table(None, None, radii, X)
+
+        def cell(x, r):
+            p, err = self._ball_prob_impl(x, r)
+            return min(max(p, 0.0), 1.0), err
+
+        return self._fill([float(r) for r in radii], X, cell, self._ball_tol, "ball_prob")
 
     def _ball_prob_impl(self, x: np.ndarray, r: float) -> tuple[float, float]:
         raise NotImplementedError
-
-    # -- smoothed density and derivatives -------------------------------------
 
     def smoothed_density(self, kernel: Kernel, h: float, x) -> float:
         """p_h(x) = E[(1/h^d) K((x - X)/h)]."""
@@ -144,66 +148,53 @@ class ReferenceDistribution:
         s = None (or zero) gives p_h.  Cells without an exact table route are
         filled by certified quadrature.
         """
-        s = MultiIndex.coerce(s, self.ambient_dim)
-        if s.order > kernel.deriv_support:
-            raise ValueError(f"derivative order {s.order} unsupported by kernel {kernel.form}")
-        h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-        if h_values.ndim != 1 or not np.all(h_values > 0):
-            raise ValueError("bandwidths h must be positive")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.ndim != 2 or X.shape[1] != self.ambient_dim:
-            raise ValueError(f"points have shape {X.shape}, expected (m, {self.ambient_dim})")
+        s, h_values, X = self._check_table(kernel, s, h_values, X)
         table = self._table(kernel, s, h_values, X)
         if table is not None:
             return table
+        d = self.ambient_dim
+
+        def integrand(h):
+            scale = h ** (d + s.order)
+            if s.is_zero():
+                return lambda rr: kernel.profile(np.asarray(rr) / h) / scale
+            return lambda V: kernel.deriv_eval_many(s, np.asarray(V) / h) / scale
+
         what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            h = float(h)
-            scale = h ** (self.ambient_dim + s.order)
-            for j, x in enumerate(X):
-                if s.is_zero():
-                    val, err = self._expect_radial(x, lambda rr: kernel.profile(np.asarray(rr) / h) / scale)
-                else:
-                    val, err = self._expect_vector(x, lambda V: kernel.deriv_eval_many(s, np.asarray(V) / h) / scale)
-                self._certify(val, err, self._density_tol, what)
-                out[i, j] = val
-        return out
+        cell = self._expect_radial if s.is_zero() else self._expect_vector
+        return self._fill([integrand(float(h)) for h in h_values], X, cell, self._density_tol, what)
 
     def moment_k(self, kernel: Kernel, x, h: float, k: float, s=None) -> float:
-        """E[ |D^s K((x - X)/h)|^k ]."""
-        if k <= 0:
+        """E[ |D^s K((x - X)/h)|^k ], as the 1x1 table."""
+        return float(self.moment_table(kernel, s, [h], np.asarray(x, dtype=float)[None], k)[0, 0])
+
+    def moment_table(self, kernel: Kernel, s, h_values, X, k: float) -> np.ndarray:
+        """E[ |D^s K((x - X)/h)|^k ] over a bandwidth list and point rows; shape (len(h), len(X)).
+
+        Cells without an exact table route are filled by certified quadrature
+        to a relative accuracy.
+        """
+        if not k > 0:
             raise ValueError("k must be positive")
-        s = MultiIndex.coerce(s, self.ambient_dim)
-        h = float(h)
-        if h <= 0:
-            raise ValueError("bandwidth h must be positive")
-        x = self._check_point(x)
-        if s.order > kernel.deriv_support:
-            raise ValueError(f"derivative order {s.order} unsupported by kernel {kernel.form}")
-        fast = self._moment_fast(kernel, x, h, k, s)
-        if fast is not None:
-            return fast
-        if s.is_zero():
-            if kernel.form == "gaussian":
-                # |K|^k is a rescaled Gaussian: reuse the exact density routes.
-                hp = h / math.sqrt(k)
-                d = self.ambient_dim
-                c = (2.0 * math.pi) ** (-d * (k - 1.0) / 2.0)
-                return c * hp**d * self.smoothed_density(kernel, hp, x)
+        s, h_values, X = self._check_table(kernel, s, h_values, X)
+        table = self._moment_table(kernel, s, h_values, X, k)
+        if table is not None:
+            return table
+        if s.is_zero() and kernel.form == "gaussian":
+            # |K|^k is a rescaled Gaussian: reuse the exact density routes.
+            d = self.ambient_dim
+            c = (2.0 * math.pi) ** (-d * (k - 1.0) / 2.0)
+            hp = h_values / math.sqrt(k)
+            scale = np.array([c * float(v) ** d for v in hp])
+            return scale[:, None] * self.smoothed_density_table(kernel, hp, X)
 
-            def g(rr):
-                return kernel.profile(np.asarray(rr) / h) ** k
+        def integrand(h):
+            if s.is_zero():
+                return lambda rr: kernel.profile(np.asarray(rr) / h) ** k
+            return lambda V: np.abs(kernel.deriv_eval_many(s, np.asarray(V) / h)) ** k
 
-            val, err = self._expect_radial(x, g)
-        else:
-
-            def f(V):
-                return np.abs(kernel.deriv_eval_many(s, np.asarray(V) / h)) ** k
-
-            val, err = self._expect_vector(x, f)
-        self._certify(val, err, self._moment_tol, "moment_k", relative=True)
-        return val
+        cell = self._expect_radial if s.is_zero() else self._expect_vector
+        return self._fill([integrand(float(h)) for h in h_values], X, cell, self._moment_tol, "moment_k", relative=True)
 
     # -- geometry hooks --------------------------------------------------------
 
@@ -221,13 +212,34 @@ class ReferenceDistribution:
 
     # -- shared plumbing ---------------------------------------------------
 
-    def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 and self.ambient_dim == 1:
-            x = x.reshape(1)
-        if x.shape != (self.ambient_dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.ambient_dim},)")
-        return x
+    def _check_table(self, kernel, s, values, X) -> tuple[MultiIndex | None, np.ndarray, np.ndarray]:
+        """Validated (s, values, X) of a table call.
+
+        values are bandwidths (with a kernel, whose derivative support must
+        cover s) or radii (kernel None); all must be positive, and X must
+        hold points of the ambient dimension as rows.
+        """
+        if kernel is not None:
+            s = MultiIndex.coerce(s, self.ambient_dim)
+            if s.order > kernel.deriv_support:
+                raise ValueError(f"derivative order {s.order} unsupported by kernel {kernel.form}")
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if values.ndim != 1 or not np.all(values > 0):
+            raise ValueError(f"{'bandwidths h' if kernel is not None else 'radii r'} must be positive")
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.ambient_dim:
+            raise ValueError(f"points have shape {X.shape}, expected (m, {self.ambient_dim})")
+        return s, values, X
+
+    def _fill(self, rows, X, cell, tol, what, relative=False) -> np.ndarray:
+        """Table whose (i, j) entry is the certified value of cell(X[j], rows[i]) -> (value, error)."""
+        out = np.empty((len(rows), X.shape[0]))
+        for i, row in enumerate(rows):
+            for j, x in enumerate(X):
+                val, err = cell(x, row)
+                self._certify(val, err, tol, what, relative)
+                out[i, j] = val
+        return out
 
     @staticmethod
     def _certify(val, err, tol, what, relative=False):
@@ -240,7 +252,8 @@ class ReferenceDistribution:
         """Exact D^s p_h table for validated inputs, or None."""
         return None
 
-    def _moment_fast(self, kernel, x, h, k, s):
+    def _moment_table(self, kernel, s, h_values, X, k):
+        """Exact moment table for validated inputs, or None."""
         return None
 
     def _expect_radial(self, x: np.ndarray, g) -> tuple[float, float]:
@@ -259,6 +272,57 @@ def _f1(f):
         return float(f(np.asarray([v], dtype=float).reshape(1, -1))[0])
 
     return wrapped
+
+
+def _sphere_average(x, rho: float, q: int, f, radial: bool) -> tuple[float, float]:
+    """(average over y on the sphere of radius rho about 0 in R^(q+1), error bound).
+
+    With ``radial`` the integrand is g(||x - y||), reduced to the polar angle
+    for any q; otherwise it is f acting on rows x - y, implemented for
+    q <= 2.  q = 0 is the pair of points -rho and rho on the line.
+    """
+    if radial:
+        m = float(np.linalg.norm(x))
+        if m < _TINY:
+            return float(f(rho)), 0.0
+        if q == 0:
+            return 0.5 * (float(f(abs(m - rho))) + float(f(m + rho))), 0.0
+        Z = _polar_weight_norm(q)
+
+        def ang(theta):
+            dist = math.sqrt(max(0.0, m * m + rho * rho - 2.0 * m * rho * math.cos(theta)))
+            w = math.sin(theta) ** (q - 1) if q > 1 else 1.0
+            return float(f(dist)) * w
+
+        v, e = _quad(ang, 0.0, math.pi)
+        return v / Z, e / Z
+    if q == 0:
+        fs = _f1(f)
+        return 0.5 * (fs(x[0] - rho) + fs(x[0] + rho)), 0.0
+    if q == 1:
+
+        def ang(theta):
+            return float(f(np.array([[x[0] - rho * math.cos(theta), x[1] - rho * math.sin(theta)]]))[0])
+
+        v, e = _quad(ang, 0.0, 2.0 * math.pi)
+        return v / (2.0 * math.pi), e / (2.0 * math.pi)
+    if q == 2:
+        inner_errs = []
+
+        def outer(theta):
+            def az(phi):
+                y = rho * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+                return float(f((x - y).reshape(1, -1))[0])
+
+            v, e = _quad(az, 0.0, 2.0 * math.pi)
+            inner_errs.append(e)
+            return v * math.sin(theta)
+
+        v, e = _quad(outer, 0.0, math.pi)
+        # each inner error enters weighted by sin(theta), which integrates to 2
+        scale = 4.0 * math.pi
+        return v / scale, (e + 2.0 * max(inner_errs, default=0.0)) / scale
+    raise NotImplementedError("sphere quadrature for non-radial integrands is implemented for q <= 2")
 
 
 class UniformCube(ReferenceDistribution):
@@ -322,17 +386,18 @@ class UniformCube(ReferenceDistribution):
             out[i] = acc
         return out
 
-    def _moment_fast(self, kernel, x, h, k, s):
+    def _moment_table(self, kernel, s, h_values, X, k):
         if kernel.form != "gaussian" or s.is_zero():
             return None
         # |D^s K|^k factorizes over coordinates on a product domain
-        val = 1.0
-        err = 0.0
-        for order, t in zip(s.orders, x):
-            v, e = _quad(lambda y, o=order, tt=t: abs(float(_phi_deriv(o, (tt - y) / h))) ** k, 0.0, 1.0)
-            err = err + e
-            val *= v
-        return val
+        out = np.ones((h_values.size, X.shape[0]))
+        for i, h in enumerate(h_values):
+            h = float(h)
+            for j, x in enumerate(X):
+                for order, t in zip(s.orders, x):
+                    v, _ = _quad(lambda y, o=order, tt=t: abs(float(_phi_deriv(o, (tt - y) / h))) ** k, 0.0, 1.0)
+                    out[i, j] *= v
+        return out
 
     def _expect_vector(self, x, f):
         d = self.ambient_dim
@@ -419,66 +484,38 @@ class UnboundedBall(ReferenceDistribution):
     def _table(self, kernel, s, h_values, X):
         if kernel.form != "gaussian" or self.ambient_dim != 2 or not s.is_zero():
             return None
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            h = float(h)
-            c = 1.0 / (2.0 * math.pi * h * h)
-            for j, x in enumerate(X):
-                m = float(np.linalg.norm(x))
+        return self._fill([float(h) for h in h_values], X, self._bessel_density, self._density_tol, "smoothed_density")
 
-                def inner(rho):
-                    if m < _TINY:
-                        return c * math.exp(-0.5 * rho * rho / (h * h))
-                    z = m * rho / (h * h)
-                    return c * float(ive(0, z)) * math.exp(-0.5 * (m - rho) ** 2 / (h * h))
+    def _bessel_density(self, x, h) -> tuple[float, float]:
+        # the Gaussian averaged over the circle of radius rho is a scaled Bessel I0
+        c = 1.0 / (2.0 * math.pi * h * h)
+        m = float(np.linalg.norm(x))
 
-                val, err = self._radial_pushforward(inner)
-                self._certify(val, err, self._density_tol, "smoothed_density")
-                out[i, j] = val
-        return out
+        def inner(rho):
+            if m < _TINY:
+                return c * math.exp(-0.5 * rho * rho / (h * h))
+            z = m * rho / (h * h)
+            return c * float(ive(0, z)) * math.exp(-0.5 * (m - rho) ** 2 / (h * h))
+
+        return self._radial_pushforward(inner)
 
     def _expect_radial(self, x, g):
-        m = float(np.linalg.norm(x))
-        if m < _TINY:
-            return self._radial_pushforward(lambda rho: float(np.asarray(g(rho))))
-        q = self.ambient_dim - 1
-        if q == 0:
-            return self._radial_pushforward(lambda rho: 0.5 * (float(g(abs(m - rho))) + float(g(m + rho))))
-        Z = _polar_weight_norm(q)
+        return self._expect_sphere_mixture(x, g, radial=True)
+
+    def _expect_vector(self, x, f):
+        return self._expect_sphere_mixture(x, f, radial=False)
+
+    def _expect_sphere_mixture(self, x, f, radial) -> tuple[float, float]:
+        # X = rho * U with U uniform on the unit sphere and independent of rho
         inner_errs = []
 
         def inner(rho):
-            def ang(theta):
-                dist = math.sqrt(max(0.0, m * m + rho * rho - 2.0 * m * rho * math.cos(theta)))
-                w = math.sin(theta) ** (q - 1) if q > 1 else 1.0
-                return float(g(dist)) * w
-
-            v, e = _quad(ang, 0.0, math.pi)
+            v, e = _sphere_average(x, rho, self.ambient_dim - 1, f, radial)
             inner_errs.append(e)
-            return v / Z
+            return v
 
         val, err = self._radial_pushforward(inner)
-        return val, err + (max(inner_errs) / Z if inner_errs else 0.0)
-
-    def _expect_vector(self, x, f):
-        d = self.ambient_dim
-        if d == 1:
-            fs = _f1(f)
-            return self._radial_pushforward(lambda rho: 0.5 * (fs(x[0] - rho) + fs(x[0] + rho)))
-        if d == 2:
-            inner_errs = []
-
-            def inner(rho):
-                def ang(theta):
-                    return float(f(np.array([[x[0] - rho * math.cos(theta), x[1] - rho * math.sin(theta)]]))[0])
-
-                v, e = _quad(ang, 0.0, 2.0 * math.pi)
-                inner_errs.append(e)
-                return v / (2.0 * math.pi)
-
-            val, err = self._radial_pushforward(inner)
-            return val, err + (max(inner_errs) / (2 * math.pi) if inner_errs else 0.0)
-        raise NotImplementedError("ball quadrature for non-radial integrands is implemented for d <= 2")
+        return val, err + max(inner_errs, default=0.0)
 
     def special_points(self):
         d = self.ambient_dim
@@ -545,45 +582,10 @@ class UniformSphere(ReferenceDistribution):
         return out
 
     def _expect_radial(self, x, g):
-        m = float(np.linalg.norm(x))
-        rho = self.radius
-        q = self.manifold_dim
-        if m < _TINY:
-            return float(g(rho)), 0.0
-        Z = _polar_weight_norm(q)
-
-        def ang(theta):
-            dist = math.sqrt(max(0.0, m * m + rho * rho - 2.0 * m * rho * math.cos(theta)))
-            w = math.sin(theta) ** (q - 1) if q > 1 else 1.0
-            return float(g(dist)) * w
-
-        v, e = _quad(ang, 0.0, math.pi)
-        return v / Z, e / Z
+        return _sphere_average(x, self.radius, self.manifold_dim, g, radial=True)
 
     def _expect_vector(self, x, f):
-        rho = self.radius
-        if self.manifold_dim == 1:
-            def ang(theta):
-                return float(f(np.array([[x[0] - rho * math.cos(theta), x[1] - rho * math.sin(theta)]]))[0])
-
-            v, e = _quad(ang, 0.0, 2.0 * math.pi)
-            return v / (2.0 * math.pi), e / (2.0 * math.pi)
-        if self.manifold_dim == 2:
-            inner_errs = []
-
-            def outer(theta):
-                def az(phi):
-                    y = rho * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-                    return float(f((x - y).reshape(1, -1))[0])
-
-                v, e = _quad(az, 0.0, 2.0 * math.pi)
-                inner_errs.append(e)
-                return v * math.sin(theta)
-
-            v, e = _quad(outer, 0.0, math.pi)
-            scale = 4.0 * math.pi
-            return v / scale, (e + (max(inner_errs) if inner_errs else 0.0)) / scale
-        raise NotImplementedError("sphere quadrature for non-radial integrands is implemented for d_M <= 2")
+        return _sphere_average(x, self.radius, self.manifold_dim, f, radial=False)
 
     def special_points(self):
         p = np.zeros(self.ambient_dim)
@@ -666,10 +668,7 @@ class PointMasses(ReferenceDistribution):
         inside = np.linalg.norm(self.locations - x, axis=1) < r
         return float(self.weights[inside].sum()), 0.0
 
-    def _moment_fast(self, kernel, x, h, k, s):
-        vals = np.abs(kernel.deriv_eval_many(s, (x - self.locations) / h)) ** k
-        return float(np.dot(self.weights, vals))
-
+    # the atoms are summed in one fixed order, so a cell does not depend on the table size
     def _table(self, kernel, s, h_values, X):
         d = self.ambient_dim
         diff = X[:, None, :] - self.locations[None, :, :]
@@ -677,7 +676,14 @@ class PointMasses(ReferenceDistribution):
         out = np.empty((h_values.size, X.shape[0]))
         for i, h in enumerate(h_values):
             vals = kernel.profile(r / h) if s.is_zero() else kernel.deriv_eval_many(s, diff / h)
-            out[i] = vals @ self.weights / h ** (d + s.order)
+            out[i] = (vals * self.weights).sum(axis=-1) / h ** (d + s.order)
+        return out
+
+    def _moment_table(self, kernel, s, h_values, X, k):
+        diff = X[:, None, :] - self.locations[None, :, :]
+        out = np.empty((h_values.size, X.shape[0]))
+        for i, h in enumerate(h_values):
+            out[i] = (np.abs(kernel.deriv_eval_many(s, diff / h)) ** k * self.weights).sum(axis=-1)
         return out
 
     def special_points(self):
@@ -738,15 +744,17 @@ class Mixture(ReferenceDistribution):
     def _ball_prob_impl(self, x, r):
         return self._combine([c._ball_prob_impl(x, r) for c in self.components])
 
-    def _moment_fast(self, kernel, x, h, k, s):
-        return float(sum(w * c.moment_k(kernel, x, h, k, s) for w, c in zip(self.weights, self.components)))
-
-    def _table(self, kernel, s, h_values, X):
+    def _weighted(self, tables):
         acc = None
-        for w, c in zip(self.weights, self.components):
-            t = c.smoothed_derivative_table(kernel, s, h_values, X)
+        for w, t in zip(self.weights, tables):
             acc = w * t if acc is None else acc + w * t
         return acc
+
+    def _table(self, kernel, s, h_values, X):
+        return self._weighted(c.smoothed_derivative_table(kernel, s, h_values, X) for c in self.components)
+
+    def _moment_table(self, kernel, s, h_values, X, k):
+        return self._weighted(c.moment_table(kernel, s, h_values, X, k) for c in self.components)
 
     def special_points(self):
         return np.concatenate([c.special_points() for c in self.components], axis=0)

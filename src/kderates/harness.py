@@ -447,7 +447,7 @@ def _run_moments(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     k = float(config.raw.get("moment", {}).get("k", 2.0))
     h_grid = config.bandwidth_grid()
     x_grid = config.eval_grid(dist)
-    values = np.array([max(dist.moment_k(kernel, x, float(h), k, s) for x in x_grid.points) for h in h_grid.values])
+    values = dist.moment_table(kernel, s, h_grid.values, x_grid.points, k).max(axis=1)
     fit = fit_loglog(h_grid.values, values)
     report = {
         "schema": "kderates.moment_report/1",

@@ -141,6 +141,8 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     across all bandwidths.
     """
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+    if h_values.ndim != 1 or not np.all(h_values > 0):
+        raise ValueError("bandwidths h must be positive")
     sample = _check_inputs(sample, kernel, h_values)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != kernel.dim:
@@ -183,19 +185,13 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
 
 
 def kde_eval(sample, kernel: Kernel, h: float, x) -> float:
-    """p-hat_h(x) = (1/(n h^d)) sum_i K((x - X_i)/h)."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(kde_table(sample, kernel, [h], x)[0, 0])
+    """p-hat_h(x) = (1/(n h^d)) sum_i K((x - X_i)/h), as the 1x1 table."""
+    return kde_deriv_eval(sample, kernel, None, h, x)
 
 
 def kde_deriv_eval(sample, kernel: Kernel, s, h: float, x) -> float:
-    """D^s p-hat_h(x) = (1/(n h^(d+|s|))) sum_i D^s K((x - X_i)/h)."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(kde_table(sample, kernel, [h], x, s=s)[0, 0])
+    """D^s p-hat_h(x) = (1/(n h^(d+|s|))) sum_i D^s K((x - X_i)/h), as the 1x1 table."""
+    return float(kde_table(sample, kernel, [h], np.asarray(x, dtype=float).reshape(1, -1), s=s)[0, 0])
 
 
 def discretization_bound(kernel: Kernel, s, spacing: float, h: float) -> float:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iterproduct
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -278,43 +278,27 @@ class Kernel:
         """Radial value at distance r (vectorized)."""
         return self._profile_sq(np.square(np.asarray(r, dtype=float)), 1.0)
 
-    def _check_point(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0 and self.dim == 1:
-            u = u.reshape(1)
-        if u.shape != (self.dim,):
-            raise ValueError(f"point has shape {u.shape}, expected ({self.dim},)")
-        return u
-
     def eval(self, u) -> float:
         """K(u) for a single point u in R^d."""
-        u = self._check_point(u)
-        return float(self.profile(np.linalg.norm(u)))
+        return self.deriv_eval(None, u)
 
     def eval_many(self, U: np.ndarray) -> np.ndarray:
-        """K at each row of U, shape (m, d)."""
-        U = np.asarray(U, dtype=float)
-        return self.profile(np.linalg.norm(U, axis=-1))
+        """K at each row of U, shape (..., d)."""
+        return self.deriv_eval_many(None, U)
 
     def deriv_eval(self, s, u) -> float:
-        """D^s K(u); s = 0 coincides with eval."""
-        s = MultiIndex.coerce(s, self.dim)
-        if s.is_zero():
-            return self.eval(u)
-        self._require_deriv(s)
-        u = self._check_point(u)
-        out = 1.0
-        for k, t in zip(s.orders, u):
-            out *= float(_phi_deriv(k, t))
-        return out
+        """D^s K(u) for a single point u, as the 1-row deriv_eval_many."""
+        return float(self.deriv_eval_many(s, np.asarray(u, dtype=float).reshape(1, -1))[0])
 
     def deriv_eval_many(self, s, U: np.ndarray) -> np.ndarray:
-        """D^s K at each row of U, shape (..., d)."""
+        """D^s K at each row of U, shape (..., d); s = None (or zero) gives K."""
         s = MultiIndex.coerce(s, self.dim)
-        if s.is_zero():
-            return self.eval_many(U)
-        self._require_deriv(s)
         U = np.asarray(U, dtype=float)
+        if U.shape[-1:] != (self.dim,):
+            raise ValueError(f"points have shape {U.shape}, expected (..., {self.dim})")
+        if s.is_zero():
+            return self.profile(np.linalg.norm(U, axis=-1))
+        self._require_deriv(s)
         out = np.ones(U.shape[:-1])
         for i, k in enumerate(s.orders):
             out = out * _phi_deriv(k, U[..., i])

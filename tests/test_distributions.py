@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
+import kderates.distributions as dist_module
 from kderates.distributions import (
     Mixture,
     PointMasses,
@@ -20,6 +21,7 @@ from kderates.kernels import Kernel
 
 GAUSS1 = Kernel.gaussian(1)
 GAUSS2 = Kernel.gaussian(2)
+GAUSS3 = Kernel.gaussian(3)
 
 
 class TestSampling:
@@ -338,6 +340,63 @@ _ONE_BY_ONE_CASES = [
 ]
 
 
+# (route, distribution, kernel, s, k, bandwidths, points): every moment_table route
+_MOMENT_ROUTES = [
+    ("cube2_gaussian_derivative", lambda: UniformCube(2), GAUSS2, (1, 0), 2.0, [0.1, 0.3], [[0.2, 0.5], [0.9, 0.1], [1.1, -0.05]]),
+    ("circle_gaussian_rescaled", lambda: UniformCircle(1.0), GAUSS2, None, 2.0, [0.1, 0.3], [[1.0, 0.0], [0.3, 0.8], [0.0, 0.0]]),
+    (
+        "point_masses",
+        lambda: PointMasses([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.7]], [0.2, 0.3, 0.5]),
+        GAUSS2,
+        (1, 0),
+        3.0,
+        [0.1, 0.3],
+        [[0.1, 0.1], [0.5, 0.25], [-0.5, 0.9]],
+    ),
+    (
+        "mixture_derivative",
+        lambda: Mixture([PointMasses([[0.1, 0.2]], [1.0]), UniformCube(2)], [0.4, 0.6]),
+        GAUSS2,
+        (1, 1),
+        2.0,
+        [0.1, 0.3],
+        [[0.2, 0.5], [0.1, 0.25]],
+    ),
+    (
+        "mixture_rescaled",
+        lambda: Mixture([UniformCircle(1.0), UniformCube(2)], [0.4, 0.6]),
+        GAUSS2,
+        None,
+        2.0,
+        [0.1, 0.3],
+        [[0.2, 0.5], [0.8, 0.6]],
+    ),
+    ("cube1_epanechnikov", lambda: UniformCube(1), Kernel.epanechnikov(1), None, 2.0, [0.1, 0.3], [[0.0], [0.45], [0.97]]),
+    ("circle_epanechnikov", lambda: UniformCircle(1.0), Kernel.epanechnikov(2), None, 2.0, [0.1, 0.3], [[1.0, 0.0], [0.7, 0.5]]),
+    (
+        "sphere2_epanechnikov",
+        lambda: UniformSphere(2),
+        Kernel.epanechnikov(3),
+        None,
+        2.0,
+        [0.2, 0.5],
+        [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]],
+    ),
+    ("ball1_epanechnikov", lambda: UnboundedBall(1, 0.5), Kernel.epanechnikov(1), None, 2.0, [0.1, 0.4], [[0.0], [0.3], [-0.8]]),
+    ("ball2_epanechnikov", lambda: UnboundedBall(2, 1.0), Kernel.epanechnikov(2), None, 2.0, [0.4], [[0.0, 0.0], [0.6, 0.5]]),
+]
+
+# one distribution of each kind, for ball_prob_table
+_BALL_KINDS = [
+    UniformCube(2),
+    UnboundedBall(2, 1.0),
+    UniformCircle(1.0),
+    UniformSphere(2),
+    PointMasses([[0.0, 0.0], [0.5, 0.25]], [0.25, 0.75]),
+    Mixture([UniformCircle(1.0), UniformCube(2)], [0.4, 0.6]),
+]
+
+
 # kinds with an exact Gaussian table route
 _EXACT_TABLE_KINDS = [
     UniformCube(2),
@@ -365,6 +424,45 @@ class TestOneTable:
                         assert dist.smoothed_density(kern, h, x) == table[0, 0]
                         assert dist.smoothed_density_table(kern, [h], x.reshape(1, -1))[0, 0] == table[0, 0]
 
+    @pytest.mark.parametrize("route, make, kern, s, k, hs, X", _MOMENT_ROUTES, ids=[c[0] for c in _MOMENT_ROUTES])
+    def test_moment_table_cells_are_moment_k(self, route, make, kern, s, k, hs, X):
+        dist = make()
+        table = dist.moment_table(kern, s, hs, np.array(X), k)
+        assert table.shape == (len(hs), len(X))
+        for i, h in enumerate(hs):
+            for j, x in enumerate(X):
+                assert table[i, j] == dist.moment_k(kern, np.array(x), h, k, s), (h, x)
+
+    @pytest.mark.parametrize("dist", _BALL_KINDS, ids=lambda d: d.kind)
+    def test_ball_prob_table_cells_are_ball_prob(self, dist):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.1, 1.2, size=(5, dist.ambient_dim))
+        radii = [0.03, 0.2, 0.7, 2.5]
+        table = dist.ball_prob_table(radii, X)
+        assert table.shape == (4, 5)
+        for i, r in enumerate(radii):
+            for j, x in enumerate(X):
+                assert table[i, j] == dist.ball_prob(x, r), (r, x)
+
+    @pytest.mark.parametrize(
+        "locations, weights",
+        [([[0.0, 0.0], [0.5, 0.25]], [0.25, 0.75]), ([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.7]], [0.2, 0.3, 0.5])],
+        ids=["2_atoms", "3_atoms"],
+    )
+    def test_point_mass_cells_do_not_depend_on_table_size(self, locations, weights):
+        dist = PointMasses(locations, weights)
+        X = np.random.default_rng(8).uniform(-1.1, 1.2, size=(200, 2))
+        hs = [0.07, 0.3]
+        for table_of in (
+            lambda s, hs, X: dist.smoothed_derivative_table(GAUSS2, s, hs, X),
+            lambda s, hs, X: dist.moment_table(GAUSS2, s, hs, X, 2.0),
+        ):
+            for s in (None, (1, 0)):
+                table = table_of(s, hs, X)
+                for i, h in enumerate(hs):
+                    for j, x in enumerate(X):
+                        assert table[i, j] == table_of(s, [h], x[None])[0, 0], (s, h, x)
+
     @pytest.mark.parametrize("h", [0.0, -0.1, float("nan")])
     @pytest.mark.parametrize("dist", _EXACT_TABLE_KINDS, ids=["cube2", "circle", "point_masses", "mixture"])
     def test_table_rejects_nonpositive_h(self, dist, h):
@@ -372,6 +470,18 @@ class TestOneTable:
             dist.smoothed_derivative_table(GAUSS2, None, [0.2, h], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="positive"):
             dist.smoothed_derivative_table(GAUSS2, (1, 0), [h], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="positive"):
+            dist.moment_table(GAUSS2, (1, 0), [0.2, h], np.zeros((3, 2)), 2.0)
+        with pytest.raises(ValueError, match="positive"):
+            dist.ball_prob_table([0.2, h], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("dist", _EXACT_TABLE_KINDS, ids=["cube2", "circle", "point_masses", "mixture"])
+    def test_moment_table_rejects_nonpositive_k(self, dist, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            dist.moment_table(GAUSS2, None, [0.2], np.zeros((3, 2)), k)
+        with pytest.raises(ValueError, match="k must be positive"):
+            dist.moment_k(GAUSS2, np.zeros(2), 0.2, k)
 
     @pytest.mark.parametrize("dist", _EXACT_TABLE_KINDS, ids=["cube2", "circle", "point_masses", "mixture"])
     def test_table_rejects_wrong_point_dimension(self, dist):
@@ -379,6 +489,14 @@ class TestOneTable:
             dist.smoothed_density_table(GAUSS2, [0.2], np.zeros((4, 3)))
         with pytest.raises(ValueError, match="shape"):
             dist.smoothed_derivative(GAUSS2, None, 0.2, np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            dist.moment_table(GAUSS2, None, [0.2], np.zeros((4, 3)), 2.0)
+        with pytest.raises(ValueError, match="shape"):
+            dist.moment_k(GAUSS2, np.zeros(3), 0.2, 2.0)
+        with pytest.raises(ValueError, match="shape"):
+            dist.ball_prob_table([0.2], np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            dist.ball_prob(np.zeros(3), 0.2)
 
     def test_table_rejects_unsupported_derivative_order(self):
         epan1 = Kernel.epanechnikov(1)
@@ -387,6 +505,19 @@ class TestOneTable:
                 dist.smoothed_derivative_table(epan1, (1,), [0.3], np.array([[0.2]]))
             with pytest.raises(ValueError, match="unsupported"):
                 dist.smoothed_derivative(epan1, (1,), 0.3, np.array([0.2]))
+            with pytest.raises(ValueError, match="unsupported"):
+                dist.moment_table(epan1, (1,), [0.3], np.array([[0.2]]), 2.0)
+            with pytest.raises(ValueError, match="unsupported"):
+                dist.moment_k(epan1, np.array([0.2]), 0.3, 2.0, (1,))
+
+    def test_sphere2_vector_error_budget(self, monkeypatch):
+        # every quad reports error e: the outer one adds e, and the inner ones,
+        # weighted by sin(theta) over [0, pi], add up to 2e
+        real_quad, e = dist_module._quad, 1e-9
+        monkeypatch.setattr(dist_module, "_quad", lambda f, a, b, **kw: (real_quad(f, a, b, **kw)[0], e))
+        x = np.array([0.6, 0.0, 0.8])
+        _, err = UniformSphere(2)._expect_vector(x, lambda V: GAUSS3.deriv_eval_many((1, 0, 0), V / 0.5))
+        assert err == pytest.approx(3.0 * e / (4.0 * math.pi), rel=1e-12)
 
     def test_quadrature_fallback_matches_exact_table(self):
         # the Epanechnikov kernel has no table route on the cube: certified quadrature
