@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -43,6 +43,13 @@ __all__ = [
 
 _WORKERS_ENV = "KDERATES_WORKERS"
 _VOLDIM_SOURCES = ("oracle", "empirical")
+_COVERING_DEFAULTS = {
+    "R": 1.0,
+    "h_values": [0.1, 0.2, 0.3, 0.5, 0.8],
+    "eta_fracs": [0.05, 0.1, 0.2, 0.4, 0.8],
+    "grid_size": 64,
+    "q_size": 128,
+}
 
 
 def _workers() -> int:
@@ -94,11 +101,16 @@ class ExperimentConfig:
         s = self.raw.get("s")
         return tuple(int(v) for v in s) if s is not None else (0,) * dim
 
+    def _section(self, key: str):
+        if key not in self.raw:
+            raise ValueError(f"mode {self.mode!r} needs a {key!r} section")
+        return self.raw[key]
+
     def distribution(self) -> ReferenceDistribution:
-        return distribution_from_config(self.raw["distribution"])
+        return distribution_from_config(self._section("distribution"))
 
     def kernel(self) -> Kernel:
-        return kernel_from_config(self.raw["kernel"])
+        return kernel_from_config(self._section("kernel"))
 
     def sample_sizes(self) -> list[int]:
         if not self.n_list:
@@ -160,7 +172,28 @@ class ExperimentConfig:
 
     def bound_spec(self) -> bounds_mod.BoundSpec:
         b = dict(self.raw.get("bounds", {}))
+        spec_fields = fields(bounds_mod.BoundSpec)
+        _check_keys("bounds", b, [f.name for f in spec_fields], [f.name for f in spec_fields if f.default is MISSING])
         return bounds_mod.BoundSpec(**b)
+
+    def covering_spec(self) -> dict:
+        """The covering part with defaults filled in; the closed-form bound
+        is evaluated once per (h, eta) so that its input checks run here."""
+        c = dict(self.raw.get("covering", {}))
+        _check_keys("covering", c, _COVERING_DEFAULTS)
+        c = {**_COVERING_DEFAULTS, **c}
+        spec = {
+            "R": float(c["R"]),
+            "h_values": [float(h) for h in c["h_values"]],
+            "eta_fracs": [float(e) for e in c["eta_fracs"]],
+            "grid_size": int(c["grid_size"]),
+            "q_size": int(c["q_size"]),
+        }
+        kernel = self.kernel()
+        for h in spec["h_values"]:
+            for frac in spec["eta_fracs"]:
+                bounds_mod.covering_bound(kernel, h, spec["R"], frac * kernel.sup_norm)
+        return spec
 
     def voldim_sources(self) -> list[str]:
         sources = list(self.raw.get("voldim", {}).get("sources", ["oracle"]))
@@ -168,6 +201,13 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown voldim source(s) {unknown}; choose from {list(_VOLDIM_SOURCES)}")
         return sources
+
+
+def _check_keys(section: str, given, known, required=()) -> None:
+    unknown = sorted(set(given) - set(known))
+    missing = sorted(set(required) - set(given))
+    if unknown or missing:
+        raise ValueError(f"{section}: unknown keys {unknown}, missing keys {missing}; known keys {sorted(known)}")
 
 
 # -- deviation campaign -----------------------------------------------------------
@@ -503,12 +543,8 @@ def _run_bounds(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
 
 def _run_covering(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     kernel = config.kernel()
-    ccfg = config.raw.get("covering", {})
-    R = float(ccfg.get("R", 1.0))
-    h_values = [float(h) for h in ccfg.get("h_values", [0.1, 0.2, 0.3, 0.5, 0.8])]
-    eta_fracs = [float(e) for e in ccfg.get("eta_fracs", [0.05, 0.1, 0.2, 0.4, 0.8])]
-    grid_size = int(ccfg.get("grid_size", 64))
-    q_size = int(ccfg.get("q_size", 128))
+    spec = config.covering_spec()
+    R, grid_size = spec["R"], spec["grid_size"]
     d = kernel.dim
     rng = np.random.Generator(np.random.Philox(key=config.base_seed))
     if d == 1:
@@ -518,10 +554,10 @@ def _run_covering(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
         axes = [np.linspace(-R, R, k)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         grid = grid[np.linalg.norm(grid, axis=1) <= R]
-    q_sample = rng.uniform(-R, R, size=(q_size, d))
+    q_sample = rng.uniform(-R, R, size=(spec["q_size"], d))
     rows = []
-    for h in h_values:
-        for frac in eta_fracs:
+    for h in spec["h_values"]:
+        for frac in spec["eta_fracs"]:
             eta = frac * kernel.sup_norm
             emp = bounds_mod.empirical_covering(kernel, h, grid, q_sample, eta)
             bnd = bounds_mod.covering_bound(kernel, h, R, eta)
@@ -566,7 +602,7 @@ MODES = {
     "moment_scaling": Mode("moments", _KDE_PARTS, _run_moments),
     "voldim": Mode("voldim", (ExperimentConfig.distribution, ExperimentConfig.voldim_sources), _run_voldim),
     "bounds": Mode("bounds", (ExperimentConfig.bound_spec,), _run_bounds),
-    "covering": Mode("covering", (ExperimentConfig.kernel,), _run_covering),
+    "covering": Mode("covering", (ExperimentConfig.covering_spec,), _run_covering),
 }
 
 

@@ -85,6 +85,20 @@ class TestConfig:
                 }
             )
 
+    @pytest.mark.parametrize("part", [{"h_values": [-0.1]}, {"eta_fracs": [2.0]}])
+    def test_covering_part_checked(self, part):
+        with pytest.raises(ValueError, match="must"):
+            ExperimentConfig.from_dict({"mode": "covering", "kernel": _GAUSS2, "covering": part})
+
+    def test_unknown_bounds_key(self):
+        bounds = {"n": 1000, "l_n": 0.1, "d": 2, "d_vol": 1.0, "delta": 0.05, "sigma": 0.5}
+        with pytest.raises(ValueError, match="sigma"):
+            ExperimentConfig.from_dict({"mode": "bounds", "bounds": bounds})
+
+    def test_voldim_needs_distribution(self):
+        with pytest.raises(ValueError, match="distribution"):
+            ExperimentConfig.from_dict({"mode": "voldim", "voldim": {"sources": ["oracle"]}})
+
     def test_hash_changes_with_seed_not_outdir(self):
         a = small_rate_config()
         b = small_rate_config(base_seed=78)
