@@ -232,20 +232,19 @@ class ReferenceDistribution:
         return s, values, X
 
     def _fill(self, rows, X, cell, tol, what, relative=False) -> np.ndarray:
-        """Table whose (i, j) entry is the certified value of cell(X[j], rows[i]) -> (value, error)."""
+        """Table whose (i, j) entry is the value of cell(X[j], rows[i]) -> (value, error).
+
+        Each error must stay within tol * max(|value|, 1), or tol * |value|
+        when relative; otherwise QuadratureError is raised.
+        """
         out = np.empty((len(rows), X.shape[0]))
         for i, row in enumerate(rows):
             for j, x in enumerate(X):
                 val, err = cell(x, row)
-                self._certify(val, err, tol, what, relative)
+                if err > tol * max(abs(val), 1e-300 if relative else 1.0):
+                    raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target", estimate=val, error=err)
                 out[i, j] = val
         return out
-
-    @staticmethod
-    def _certify(val, err, tol, what, relative=False):
-        bound = tol * max(abs(val), 1.0) if not relative else tol * max(abs(val), 1e-300)
-        if err > bound:
-            raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target", estimate=val, error=err)
 
     # exact routes; subclasses return None when none applies
     def _table(self, kernel, s, h_values, X):
