@@ -24,6 +24,47 @@ GAUSS2 = Kernel.gaussian(2)
 GAUSS3 = Kernel.gaussian(3)
 
 
+def _square_ramp(r):
+    t = np.maximum(1.0 - r, 0.0)
+    return t * t
+
+
+# (route, distribution, kernel, k, x, h, bits): one quadrature cell per radial
+# route that no golden artifact pins, checked bit for bit; k = None is p_h.
+# The 2-D ball's golden moment_scaling config would take about 40 s, and the
+# cube2 cell takes about 1.3 s.
+_PINNED_QUADRATURE = [
+    ("ball2_epanechnikov_center", lambda: UnboundedBall(2, 1.0), Kernel.epanechnikov(2), 2.0, (0.0, 0.0), 0.1, "0x1.6224a912ebe6ap-6"),
+    ("ball2_epanechnikov_offcenter", lambda: UnboundedBall(2, 1.0), Kernel.epanechnikov(2), 2.0, (0.6, 0.5), 0.4, "0x1.b45e981544475p-7"),
+    ("cube2_epanechnikov", lambda: UniformCube(2), Kernel.epanechnikov(2), 2.0, (0.0, 0.0), 0.2, "0x1.1624b7595e93cp-8"),
+    ("circle_epanechnikov", lambda: UniformCircle(1.0), Kernel.epanechnikov(2), 2.0, (1.0, 0.0), 0.1, "0x1.c2fd5d2981923p-8"),
+    ("cube1_triangular_density", lambda: UniformCube(1), Kernel.triangular(1), None, (0.05,), 0.1, "0x1.c000000000000p-1"),
+    ("cube1_uniform", lambda: UniformCube(1), Kernel.uniform(1), 2.0, (0.05,), 0.1, "0x1.3333333333336p-5"),
+    ("circle_triangular_density", lambda: UniformCircle(1.0), Kernel.triangular(2), None, (0.8, 0.3), 0.2, "0x1.955a0f44d2c5fp-3"),
+    ("sphere2_gaussian_density", lambda: UniformSphere(2), GAUSS3, None, (0.6, 0.0, 0.8), 0.2, "0x1.451660e4d57adp-3"),
+    ("cube1_epanechnikov_k3", lambda: UniformCube(1), Kernel.epanechnikov(1), 3.0, (0.37,), 0.1, "0x1.3bfa2608c6cc5p-5"),
+    ("ball1_epanechnikov_k3", lambda: UnboundedBall(1, 0.5), Kernel.epanechnikov(1), 3.0, (0.3,), 0.1, "0x1.21cff5d0c7e64p-6"),
+    (
+        "cube1_custom_radial",
+        lambda: UniformCube(1),
+        Kernel.custom_radial(1, _square_ramp, support_radius=1.0),
+        2.0,
+        (0.3,),
+        0.1,
+        "0x1.47ae147ae1263p-5",
+    ),
+    (
+        "circle_custom_radial_density",
+        lambda: UniformCircle(1.0),
+        Kernel.custom_radial(2, _square_ramp, support_radius=1.0),
+        None,
+        (0.8, 0.3),
+        0.2,
+        "0x1.6c11ff3dae91ap-5",
+    ),
+]
+
+
 class TestSampling:
     def test_ball_support(self):
         dist = UnboundedBall(2, 1.0)
@@ -310,13 +351,15 @@ class TestMomentK:
         assert got == pytest.approx(direct, rel=1e-8)
 
     @pytest.mark.parametrize(
-        "x, h, bits", [((0.0, 0.0), 0.1, "0x1.6224a912ebe6ap-6"), ((0.6, 0.5), 0.4, "0x1.b45e981544475p-7")]
+        "route, make, kern, k, x, h, bits", _PINNED_QUADRATURE, ids=[c[0] for c in _PINNED_QUADRATURE]
     )
-    def test_ball2_epanechnikov_quadrature_pinned(self, x, h, bits):
-        # the nested radial/angular quadrature of the 2-D ball, pinned bit for bit;
-        # a moment_scaling golden config on this route takes about 40 s
-        dist = UnboundedBall(2, 1.0)
-        assert dist.moment_k(Kernel.epanechnikov(2), np.array(x), h, 2.0) == float.fromhex(bits)
+    def test_quadrature_pinned(self, route, make, kern, k, x, h, bits):
+        dist = make()
+        if k is None:
+            got = dist.smoothed_density(kern, h, np.array(x))
+        else:
+            got = dist.moment_k(kern, np.array(x), h, k)
+        assert got == float.fromhex(bits)
 
     def test_circle_moment_scaling_slope(self):
         dist = UniformCircle(1.0)
