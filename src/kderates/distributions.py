@@ -26,6 +26,12 @@
 # and every ball probability, is filled by one certified per-cell routine
 # over low-dimensional quadrature on the manifold or radial parameter; the
 # sphere and the ball share one sphere-average quadrature.
+#
+# The scalar quadrature callbacks take and return Python floats: a radial
+# integrand is a float function of the distance, built on Kernel.radial,
+# and the cube integrates its distances directly.  QUADPACK calls them
+# hundreds of thousands of times per table, so a node must not pass through
+# numpy's 0-d array machinery.
 
 from __future__ import annotations
 
@@ -157,7 +163,7 @@ class ReferenceDistribution:
         def integrand(h):
             scale = h ** (d + s.order)
             if s.is_zero():
-                return lambda rr: kernel.profile(np.asarray(rr) / h) / scale
+                return lambda rr: kernel.radial(rr / h) / scale
             return lambda V: kernel.deriv_eval_many(s, np.asarray(V) / h) / scale
 
         what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
@@ -188,9 +194,11 @@ class ReferenceDistribution:
             scale = np.array([c * float(v) ** d for v in hp])
             return scale[:, None] * self.smoothed_density_table(kernel, hp, X)
 
+        power = self._radial_power
+
         def integrand(h):
             if s.is_zero():
-                return lambda rr: kernel.profile(np.asarray(rr) / h) ** k
+                return lambda rr: power(kernel.radial(rr / h), k)
             return lambda V: np.abs(kernel.deriv_eval_many(s, np.asarray(V) / h)) ** k
 
         cell = self._expect_radial if s.is_zero() else self._expect_vector
@@ -255,22 +263,17 @@ class ReferenceDistribution:
         """Exact moment table for validated inputs, or None."""
         return None
 
+    # v ** k in a radial moment integrand: the C library's pow, except on the
+    # cube, which overrides it.  The two round differently in the last bit.
+    _radial_power = staticmethod(pow)
+
     def _expect_radial(self, x: np.ndarray, g) -> tuple[float, float]:
-        """(E[g(||x - X||)], error bound)."""
+        """(E[g(||x - X||)], error bound); g maps a float distance to a float."""
         raise NotImplementedError
 
     def _expect_vector(self, x: np.ndarray, f) -> tuple[float, float]:
         """(E[f(x - X)], error bound); f acts on rows."""
         raise NotImplementedError
-
-
-def _f1(f):
-    """Adapt a row-wise vector function to a scalar 1-D argument."""
-
-    def wrapped(v):
-        return float(f(np.asarray([v], dtype=float).reshape(1, -1))[0])
-
-    return wrapped
 
 
 def _sphere_average(x, rho: float, q: int, f, radial: bool) -> tuple[float, float]:
@@ -296,8 +299,7 @@ def _sphere_average(x, rho: float, q: int, f, radial: bool) -> tuple[float, floa
         v, e = _quad(ang, 0.0, math.pi)
         return v / Z, e / Z
     if q == 0:
-        fs = _f1(f)
-        return 0.5 * (fs(x[0] - rho) + fs(x[0] + rho)), 0.0
+        return 0.5 * (float(f(np.array([[x[0] - rho]]))[0]) + float(f(np.array([[x[0] + rho]]))[0])), 0.0
     if q == 1:
 
         def ang(theta):
@@ -345,6 +347,7 @@ class UniformCube(ReferenceDistribution):
 
     def _ball_prob_impl(self, x, r):
         # volume of B(x, r) intersected with the cube, by slicing recursion
+        # on a tuple of float coordinates
         def vol(center, radius, k):
             if radius <= 0:
                 return 0.0, 0.0
@@ -367,7 +370,7 @@ class UniformCube(ReferenceDistribution):
             v, e = _quad(slice_vol, lo, hi)
             return v, e + (max(errs) if errs else 0.0) * (hi - lo)
 
-        return vol(x, r, self.ambient_dim)
+        return vol(tuple(float(v) for v in x), r, self.ambient_dim)
 
     def _table(self, kernel, s, h_values, X):
         # the Gaussian factorises over coordinates on a product domain
@@ -398,24 +401,36 @@ class UniformCube(ReferenceDistribution):
                     out[i, j] *= v
         return out
 
-    def _expect_vector(self, x, f):
+    # v ** k as numpy's array power: an exact square for k = 2, np.power
+    # otherwise.  The cube's golden and pinned moments hold these bits.
+    @staticmethod
+    def _radial_power(v, k):
+        return v * v if k == 2.0 else float(np.power(v, k))
+
+    def _expect_radial(self, x, g):
+        # the distance is the one np.linalg.norm forms: |a| in 1-D, sqrt(a*a + b*b) in 2-D
         d = self.ambient_dim
         if d == 1:
-            return _quad(lambda y: _f1(f)(x[0] - y), 0.0, 1.0)
+            x0 = float(x[0])
+            return _quad(lambda y: g(abs(x0 - y)), 0.0, 1.0)
         if d == 2:
+            x0, x1 = float(x[0]), float(x[1])
             inner_err = []
 
             def outer(y1):
-                v, e = _quad(lambda y2: float(f(np.array([[x[0] - y1, x[1] - y2]]))[0]), 0.0, 1.0)
+                a2 = (x0 - y1) * (x0 - y1)
+
+                def inner(y2):
+                    b = x1 - y2
+                    return g(math.sqrt(a2 + b * b))
+
+                v, e = _quad(inner, 0.0, 1.0)
                 inner_err.append(e)
                 return v
 
             v, e = _quad(outer, 0.0, 1.0)
             return v, e + (max(inner_err) if inner_err else 0.0)
-        raise NotImplementedError("cube quadrature for non-radial integrands is implemented for d <= 2")
-
-    def _expect_radial(self, x, g):
-        return self._expect_vector(x, lambda V: g(np.linalg.norm(V, axis=-1)))
+        raise NotImplementedError("cube quadrature is implemented for d <= 2")
 
     def special_points(self):
         return np.full((1, self.ambient_dim), 0.5)

@@ -5,9 +5,15 @@
 #
 # Conventions:
 #   All built-in kernels are radial: K(x) = profile(||x||) with profile
-#   nonincreasing on [0, inf).  Each kernel defines its profile once, as a
-#   function of the squared distance r^2 (Kernel.profile_sq); the distance
-#   form Kernel.profile(r) is built on it.  The Gaussian is the only
+#   nonincreasing on [0, inf).  Each form defines its profile twice, next to
+#   each other.  Kernel.profile_sq acts on arrays of squared distances r^2
+#   and serves the vectorized callers (kde_table, Kernel.profile).
+#   Kernel.radial(r) maps a Python float to a Python float and serves the
+#   scalar callers, the quadrature integrands of the oracles, where the
+#   ufunc overhead on a 0-d array was most of the cost of a node.  The two
+#   perform the same IEEE operations in the same order, so they agree bit
+#   for bit; the Gaussian's float profile keeps numpy's exp, because the C
+#   library's exp rounds differently on some arguments.  The Gaussian is the only
 #   built-in with derivatives; D^s K factorizes per coordinate through
 #   probabilists' Hermite polynomials: d^k/dt^k phi(t) = (-1)^k He_k(t) phi(t).
 
@@ -142,8 +148,11 @@ class Kernel:
     profile), so tail suprema reduce to profile evaluation.  The profile is
     supplied as ``profile_sq(r2, h, out=None)``: the value
     profile(sqrt(r2) / h) at squared distance r2 for bandwidth h, written
-    into ``out`` when given (it may be r2 itself) and returned.  Only the
-    Gaussian supports partial derivatives (of any order).
+    into ``out`` when given (it may be r2 itself) and returned.  The same
+    profile is also supplied as the float function ``radial(r)`` of the
+    distance in bandwidths, equal bit for bit to ``float(profile(r))``; it
+    defaults to that expression.  Only the Gaussian supports partial
+    derivatives (of any order).
 
     Parameters are normally supplied through the factory classmethods
     :meth:`gaussian`, :meth:`epanechnikov`, :meth:`uniform`,
@@ -155,6 +164,7 @@ class Kernel:
         form: str,
         dim: int,
         profile_sq: Callable[[np.ndarray, float, np.ndarray | None], np.ndarray],
+        radial: Callable[[float], float] | None,
         sup_norm: float,
         lipschitz: float | None,
         deriv_support: float,
@@ -167,6 +177,7 @@ class Kernel:
         self.form = form
         self.dim = int(dim)
         self._profile_sq = profile_sq
+        self.radial = radial if radial is not None else lambda r: float(self.profile(r))
         self.sup_norm = float(sup_norm)
         self.lipschitz = None if lipschitz is None else float(lipschitz)
         self.deriv_support = deriv_support
@@ -193,10 +204,13 @@ class Kernel:
             u = np.multiply(r2, -0.5 / (h * h), out=out)
             return np.multiply(np.exp(u, out=out), _norm, out=out)
 
+        def radial(r, _norm=norm):
+            return float(np.exp(r * r * -0.5)) * _norm
+
         # |grad K| = ||x|| K(x), maximized on the unit sphere.
         lip = norm * math.exp(-0.5)
         # beyond r^2 = 1200 the profile is below exp(-600) * K(0) ~ 2.7e-261 * K(0)
-        return cls("gaussian", dim, profile_sq, norm, lip, math.inf, None, negligible_r2=1200.0)
+        return cls("gaussian", dim, profile_sq, radial, norm, lip, math.inf, None, negligible_r2=1200.0)
 
     @classmethod
     def epanechnikov(cls, dim: int) -> "Kernel":
@@ -206,7 +220,11 @@ class Kernel:
             u = np.subtract(1.0, np.divide(r2, h * h, out=out), out=out)
             return np.multiply(np.maximum(u, 0.0, out=out), _c, out=out)
 
-        return cls("epanechnikov", dim, profile_sq, c, 2.0 * c, 0, 1.0)
+        def radial(r, _c=c):
+            u = 1.0 - r * r
+            return (u if u > 0.0 else 0.0) * _c
+
+        return cls("epanechnikov", dim, profile_sq, radial, c, 2.0 * c, 0, 1.0)
 
     @classmethod
     def uniform(cls, dim: int) -> "Kernel":
@@ -216,7 +234,10 @@ class Kernel:
             # closed ball r <= h, compared in squares: no rounding moves the boundary
             return np.multiply(np.less_equal(r2, h * h), _c, out=out)
 
-        return cls("uniform", dim, profile_sq, c, None, 0, 1.0)
+        def radial(r, _c=c):
+            return _c if r * r <= 1.0 else 0.0
+
+        return cls("uniform", dim, profile_sq, radial, c, None, 0, 1.0)
 
     @classmethod
     def triangular(cls, dim: int) -> "Kernel":
@@ -226,7 +247,11 @@ class Kernel:
             u = np.subtract(1.0, np.divide(np.sqrt(r2, out=out), h, out=out), out=out)
             return np.multiply(np.maximum(u, 0.0, out=out), _c, out=out)
 
-        return cls("triangular", dim, profile_sq, c, c, 0, 1.0)
+        def radial(r, _c=c):
+            u = 1.0 - math.sqrt(r * r)
+            return (u if u > 0.0 else 0.0) * _c
+
+        return cls("triangular", dim, profile_sq, radial, c, c, 0, 1.0)
 
     @classmethod
     def custom_radial(
@@ -262,7 +287,7 @@ class Kernel:
             out[...] = vals
             return out
 
-        return cls("custom_radial", dim, profile_sq, sup, lipschitz, 0, support_radius)
+        return cls("custom_radial", dim, profile_sq, None, sup, lipschitz, 0, support_radius)
 
     # -- evaluation -------------------------------------------------------
 
@@ -324,7 +349,7 @@ class Kernel:
             raise ValueError("t must be nonnegative")
         s = MultiIndex.coerce(s, self.dim)
         if s.is_zero():
-            return float(self.profile(t))
+            return self.radial(float(t))
         self._require_deriv(s)
         return _gaussian_deriv_shell_sup(s.orders, float(t))
 

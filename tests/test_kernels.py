@@ -43,6 +43,35 @@ class TestEval:
         assert Kernel.triangular(1).sup_norm == pytest.approx(1.0)
 
 
+class TestRadial:
+    # r below, at and above the support edge, random r, and the Gaussian's
+    # underflow range: r^2/2 from 684 to 760 crosses the subnormals into zero
+    _R = (
+        [0.0, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 3.0]
+        + np.random.default_rng(6).uniform(0.0, 3.0, 20).tolist()
+        + np.linspace(37.0, 39.0, 41).tolist()
+    )
+
+    @pytest.mark.parametrize(
+        "kern",
+        [
+            Kernel.gaussian(1),
+            Kernel.gaussian(3),
+            Kernel.epanechnikov(2),
+            Kernel.uniform(2),
+            Kernel.triangular(1),
+            Kernel.custom_radial(2, lambda r: np.maximum(1.0 - r, 0.0) ** 3, support_radius=1.0),
+        ],
+        ids=["gaussian1", "gaussian3", "epanechnikov2", "uniform2", "triangular1", "custom_radial2"],
+    )
+    def test_float_profile_is_array_profile(self, kern):
+        for r in self._R:
+            got = kern.radial(r)
+            assert type(got) is float
+            assert got.hex() == float(kern.profile(r)).hex(), r
+            assert kern.tail_sup(r) == got
+
+
 class TestDerivatives:
     def test_odd_derivative_at_origin(self):
         k = Kernel.gaussian(1)
