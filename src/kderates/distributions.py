@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _TINY = 1e-14
+# the absolute accuracy every quadrature asks QUADPACK for
+_EPSABS = 1e-12
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -64,7 +66,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _quad(f, a, b, points=None, limit=200) -> tuple[float, float]:
     """scipy quad wrapped to return (value, abserr) without printing warnings."""
-    out = integrate.quad(f, a, b, points=points, limit=limit, epsabs=1e-12, epsrel=1e-10, full_output=1)
+    out = integrate.quad(f, a, b, points=points, limit=limit, epsabs=_EPSABS, epsrel=1e-10, full_output=1)
     return float(out[0]), float(out[1])
 
 
@@ -178,7 +180,9 @@ class ReferenceDistribution:
         """E[ |D^s K((x - X)/h)|^k ] over a bandwidth list and point rows; shape (len(h), len(X)).
 
         Cells without an exact table route are filled by certified quadrature
-        to a relative accuracy.
+        to a relative accuracy.  A cell whose error is within the absolute
+        accuracy the quadrature is asked for is certified too, so a negligible
+        moment does not fail the table.
         """
         if not k > 0:
             raise ValueError("k must be positive")
@@ -202,7 +206,8 @@ class ReferenceDistribution:
             return lambda V: np.abs(kernel.deriv_eval_many(s, np.asarray(V) / h)) ** k
 
         cell = self._expect_radial if s.is_zero() else self._expect_vector
-        return self._fill([integrand(float(h)) for h in h_values], X, cell, self._moment_tol, "moment_k", relative=True)
+        floor = _EPSABS / self._moment_tol
+        return self._fill([integrand(float(h)) for h in h_values], X, cell, self._moment_tol, "moment_k", floor)
 
     # -- geometry hooks --------------------------------------------------------
 
@@ -239,17 +244,17 @@ class ReferenceDistribution:
             raise ValueError(f"points have shape {X.shape}, expected (m, {self.ambient_dim})")
         return s, values, X
 
-    def _fill(self, rows, X, cell, tol, what, relative=False) -> np.ndarray:
+    def _fill(self, rows, X, cell, tol, what, floor=1.0) -> np.ndarray:
         """Table whose (i, j) entry is the value of cell(X[j], rows[i]) -> (value, error).
 
-        Each error must stay within tol * max(|value|, 1), or tol * |value|
-        when relative; otherwise QuadratureError is raised.
+        Each error must stay within tol * max(|value|, floor); otherwise
+        QuadratureError is raised.
         """
         out = np.empty((len(rows), X.shape[0]))
         for i, row in enumerate(rows):
             for j, x in enumerate(X):
                 val, err = cell(x, row)
-                if err > tol * max(abs(val), 1e-300 if relative else 1.0):
+                if err > tol * max(abs(val), floor):
                     raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target", estimate=val, error=err)
                 out[i, j] = val
         return out
@@ -793,13 +798,22 @@ _KINDS = {
 
 
 def distribution_from_config(cfg: dict) -> ReferenceDistribution:
-    """Build a distribution from a config mapping {kind, ...parameters}."""
+    """Build a distribution from a config mapping {kind, ...parameters}.
+
+    A missing kind or a missing parameter of the kind raises ValueError.
+    """
     cfg = dict(cfg)
+    choices = sorted(_KINDS) + ["mixture"]
+    if "kind" not in cfg:
+        raise ValueError(f"distribution config needs a 'kind'; choose from {choices}")
     kind = str(cfg.pop("kind")).lower()
-    if kind == "mixture":
-        comps = [distribution_from_config(c) for c in cfg["components"]]
-        return Mixture(comps, cfg["weights"])
-    if kind not in _KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}; choose from {sorted(_KINDS) + ['mixture']}")
-    return _KINDS[kind](cfg)
+    if kind not in choices:
+        raise ValueError(f"unknown distribution kind {kind!r}; choose from {choices}")
+    try:
+        if kind == "mixture":
+            comps = [distribution_from_config(c) for c in cfg["components"]]
+            return Mixture(comps, cfg["weights"])
+        return _KINDS[kind](cfg)
+    except KeyError as missing:
+        raise ValueError(f"distribution kind {kind!r} needs the parameter {missing.args[0]!r}") from None
 

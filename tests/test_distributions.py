@@ -361,6 +361,33 @@ class TestMomentK:
             got = dist.moment_k(kern, np.array(x), h, k)
         assert got == float.fromhex(bits)
 
+    @pytest.mark.parametrize("x", [(0.2, 0.1), (1.2, 1.2), (-1.1, 1.2)])
+    def test_negligible_moment_is_certified(self, x):
+        # about 5e-28 at (0.2, 0.1): no relative target certifies it, but its
+        # error is within the absolute accuracy of the quadrature
+        val = UniformCircle(1.0).moment_k(GAUSS2, np.array(x), 0.1, 2.0, (1, 0))
+        assert 0.0 <= val < 1e-12
+
+    def test_mixture_derivative_moment_scaling_runs(self, tmp_path, monkeypatch):
+        # the circle's cells at the cube's lattice points are about 1e-44
+        monkeypatch.setenv("KDERATES_WORKERS", "1")
+        cfg = {
+            "mode": "moment_scaling",
+            "distribution": {
+                "kind": "mixture",
+                "components": [{"kind": "uniform_circle", "radius": 1.0}, {"kind": "uniform_cube", "dim": 2}],
+                "weights": [0.4, 0.6],
+            },
+            "kernel": {"form": "gaussian", "dim": 2},
+            "s": [1, 0],
+            "moment": {"k": 2.0},
+            "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
+            "x_grid": {"target_size": 16},
+        }
+        report = run(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert len(report["values"]) == 4
+        assert all(0.0 < v < GAUSS2.deriv_sup_norm((1, 0)) ** 2 for v in report["values"])
+
     def test_circle_moment_scaling_slope(self):
         dist = UniformCircle(1.0)
         x = np.array([1.0, 0.0])

@@ -99,6 +99,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="distribution"):
             ExperimentConfig.from_dict({"mode": "voldim", "voldim": {"sources": ["oracle"]}})
 
+    @pytest.mark.parametrize(
+        "distribution, missing", [({"dim": 2}, "kind"), ({"kind": "uniform_cube"}, "dim")], ids=["no_kind", "no_dim"]
+    )
+    def test_distribution_needs_kind_and_parameters(self, distribution, missing):
+        with pytest.raises(ValueError, match=missing):
+            ExperimentConfig.from_dict({"mode": "voldim", "distribution": distribution})
+
     def test_hash_changes_with_seed_not_outdir(self):
         a = small_rate_config()
         b = small_rate_config(base_seed=78)
