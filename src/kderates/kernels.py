@@ -5,17 +5,19 @@
 #
 # Conventions:
 #   All built-in kernels are radial: K(x) = profile(||x||) with profile
-#   nonincreasing on [0, inf).  Each form defines its profile twice, next to
-#   each other.  Kernel.profile_sq acts on arrays of squared distances r^2
-#   and serves the vectorized callers (kde_table, Kernel.profile).
-#   Kernel.radial(r) maps a Python float to a Python float and serves the
-#   scalar callers, the quadrature integrands of the oracles, where the
-#   ufunc overhead on a 0-d array was most of the cost of a node.  The two
-#   perform the same IEEE operations in the same order, so they agree bit
-#   for bit; the Gaussian's float profile keeps numpy's exp, because the C
-#   library's exp rounds differently on some arguments.  The Gaussian is the only
-#   built-in with derivatives; D^s K factorizes per coordinate through
-#   probabilists' Hermite polynomials: d^k/dt^k phi(t) = (-1)^k He_k(t) phi(t).
+#   nonincreasing on [0, inf).  Each form defines its profile twice, side by
+#   side.  Kernel.profile_sq acts on arrays of squared distances r^2 and
+#   serves the vectorized callers (kde_table, Kernel.profile).
+#   Kernel.radial(r) maps one Python float to a Python float and serves the
+#   scalar callers: the quadrature integrands of the oracles, called once
+#   per node, where numpy's per-call overhead on a 0-d array would cost more
+#   than the arithmetic.  The two perform the same IEEE operations in the
+#   same order, so they agree bit for bit; the Gaussian's float profile
+#   keeps numpy's exp, because the C library's exp rounds differently on
+#   some arguments.
+#   The Gaussian is the only built-in with derivatives; D^s K factorizes per
+#   coordinate through probabilists' Hermite polynomials:
+#   d^k/dt^k phi(t) = (-1)^k He_k(t) phi(t).
 
 from __future__ import annotations
 

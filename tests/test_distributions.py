@@ -29,10 +29,9 @@ def _square_ramp(r):
     return t * t
 
 
-# (route, distribution, kernel, k, x, h, bits): one quadrature cell per radial
-# route that no golden artifact pins, checked bit for bit; k = None is p_h.
-# The 2-D ball's golden moment_scaling config would take about 40 s, and the
-# cube2 cell takes about 1.3 s.
+# (route, distribution, kernel, k, x, h, bits): quadrature cells of the radial
+# routes, checked bit for bit; k = None is p_h.  One cell per route costs far
+# less than a golden moment_scaling config per route.
 _PINNED_QUADRATURE = [
     ("ball2_epanechnikov_center", lambda: UnboundedBall(2, 1.0), Kernel.epanechnikov(2), 2.0, (0.0, 0.0), 0.1, "0x1.6224a912ebe6ap-6"),
     ("ball2_epanechnikov_offcenter", lambda: UnboundedBall(2, 1.0), Kernel.epanechnikov(2), 2.0, (0.6, 0.5), 0.4, "0x1.b45e981544475p-7"),
