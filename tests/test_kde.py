@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
-from kderates.distributions import PointMasses, UniformCircle, UniformCube
+import kderates
+from kderates.distributions import PointMasses, UnboundedBall, UniformCircle, UniformCube
 from kderates.kde import (
     BandwidthGrid,
     EvalGrid,
@@ -161,6 +166,36 @@ class TestGaussianTableVsDirectSums:
     def test_one_row_per_chunk(self, s):
         self._check(70_000, 5, s, seed=7 + sum(s))
 
+    # the rate campaigns' product lattices, special points included, plus one
+    # point far outside both supports, where every pair is beyond the Gaussian's
+    # negligible radius at h = 0.01
+    LATTICES = {"cube2": (UniformCube(2), 225), "ball": (UnboundedBall(2, 1.0), 200)}
+    FAR = (3.0, 3.0)
+
+    def _check_lattice(self, name, n, s, cols):
+        dist, size = self.LATTICES[name]
+        X = np.vstack([make_eval_grid(dist, size).points, self.FAR])
+        sample = dist.sample(n, seed=n + 10 * sum(s))
+        got = kde_table(sample, GAUSS2, self.H, X, s=s)
+        want = _direct_gauss_table(sample, self.H, X[cols], s)
+        for i in range(len(self.H)):
+            assert np.abs(got[i, cols] - want[i]).max() <= 1e-12 * np.abs(want[i]).max(), f"h = {self.H[i]}"
+        if s == (0, 0):
+            far = got[self.H.index(0.01), -1]
+            assert math.isfinite(far) and far >= 0.0
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @pytest.mark.parametrize("s", [(0, 0), (1, 0), (0, 2), (2, 1)])
+    def test_lattice_grid(self, name, s):
+        self._check_lattice(name, 3_000, s, cols=slice(None))
+
+    # many sample blocks; the direct double loop runs on every 7th point and the far one
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @pytest.mark.parametrize("s", [(0, 0), (2, 1)])
+    def test_lattice_grid_large_sample(self, name, s):
+        m = make_eval_grid(*self.LATTICES[name]).size
+        self._check_lattice(name, 70_000, s, cols=np.r_[0:m:7, m])
+
 
 def _closed_profile(r):
     r = np.asarray(r, dtype=float)
@@ -190,11 +225,12 @@ class TestCompactBoundaries:
             assert np.count_nonzero(profile(r / h)) == 6
 
 
-def test_kde_table_memory_stays_small():
-    # the tracemalloc peak of one call: chunk buffers, not a pairwise table
-    dist = UniformCube(2)
+# the cube2 lattice takes the product-lattice path, the circle the direct one
+@pytest.mark.parametrize("dist, size", [(UniformCube(2), 225), (UniformCircle(1.0), 128)], ids=["cube2", "circle"])
+def test_kde_table_memory_stays_small(dist, size):
+    # the tracemalloc peak of one call: chunk and block buffers, not a pairwise table
     sample = dist.sample(100_000, seed=17)
-    X = make_eval_grid(dist, 225).points
+    X = make_eval_grid(dist, size).points
     h = BandwidthGrid.log_spaced(0.05, 0.4, n_points=12).values
     tracemalloc.start()
     try:
@@ -203,6 +239,32 @@ def test_kde_table_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+_TABLE_BYTES = """
+import hashlib, sys
+import numpy as np
+from kderates.distributions import UniformCube
+from kderates.kde import kde_table, make_eval_grid
+from kderates.kernels import Kernel
+dist = UniformCube(2)
+sample, X = dist.sample(20_000, seed=23), make_eval_grid(dist, 225).points
+h = np.geomspace(0.05, 0.4, 6)
+tables = [kde_table(sample, Kernel.gaussian(2), h, X, s=s) for s in ((0, 0), (1, 1))]
+sys.stdout.write(hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest())
+"""
+
+
+def test_lattice_table_bytes_independent_of_blas_threads():
+    # serial and parallel runs must give the same bytes, whatever BLAS thread count a process gets
+    src = str(Path(kderates.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _TABLE_BYTES], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestIntegration:
