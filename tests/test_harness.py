@@ -540,9 +540,9 @@ _GOLDEN_CONFIGS = {
 # must keep every byte.
 _GOLDEN_SHA256 = {
     "ball": {
-        "replicates.csv": "302d104dfdbb5e0b039babd92731bc8e5d1c022224e37261904a8c17b175e4cb",
-        "report.json": "c4acca5e65f31e6eda177c8f6e82500ace857c00b6375a3e701088972cd27e3d",
-        "summary.csv": "b696b4f3223eec6980aa0557d5a6cc1653e83824c64206481d15dbcce94bfb84",
+        "replicates.csv": "64d09b48b87df21ab8913f14a52f38f3374d3610b72d32445b49151145da20b8",
+        "report.json": "213757b704902686c1c808ed2ce1b3eaf76be29a13aef57c05903cf72e6dbebb",
+        "summary.csv": "cef008439a24267e69ccd6189437b7509adf25d22f9756bdb424383ab8bd66b7",
     },
     "ball_s01": {
         "replicates.csv": "92a9641a8429467b46e96d48b57ce7f185aba2c401459b02c754cf7ffdb9db61",
@@ -575,20 +575,20 @@ _GOLDEN_SHA256 = {
         "summary.csv": "442806e93ed1d02f8706b7668e0797806f19f5ea82d698da00289814fba7c0b6",
     },
     "cube2": {
-        "replicates.csv": "03450f79c4a789a48188d6567080d161807778ad9c5e9629587510d8b060c945",
-        "report.json": "0aa72c505019feb22834eda2308f6c2bb2d4ac65dc03593695f21b325b90bd03",
-        "summary.csv": "d1e47d2c8d2a47f1a3e6b377cc89d519ffb6df94d3d678b3ee60ba43338fb3d7",
+        "replicates.csv": "1fc082a251082fe50b5dd5fa35f38efcbde9b7f6c8010859b39b43541550f03a",
+        "report.json": "862c645cfa8fd2d9cc35ee9d1d964e613320b7e859c23617902a467f9f6e3031",
+        "summary.csv": "b06487c7b2d7a5826e152fc6a364555049f06972de99867875ddf17b453add96",
     },
     "cube2_sample": {
-        "replicates.csv": "c0f1d2906884995cc978164b663fa3f1574a1815148341be238b49eca73dedef",
-        "report.json": "c61088cba53d6338ab3b260187d591fc1f3a7ac6eb301200c95ae446bd2d114b",
+        "replicates.csv": "980fc78f6a8a86ec65ac20220856a2099e92bb04be5120aa1d56c30af66bbc9a",
+        "report.json": "a45625c1f88fbfc256299c938c1c53564e0cbda7ace396cf5ef7c368895a7efb",
         "sample.csv": "c48f1f5dbf2a35da8b4fd3c84c589f2c134625529e424679323ef49fe2fd3a8a",
-        "summary.csv": "ee1aeb25710142809bc2bb37ea532e7d7047fcd148ece2742f7b1bd3c808b0ae",
+        "summary.csv": "d50db14ec6f34f661040cf5c70b8e7269c9aa4b6136e70a7f21cf1620d63e7e1",
     },
     "mixture": {
-        "replicates.csv": "8d9c7dbddf24c8aaebeb0fa1f5be783d3d454c4283f231cb6653cf07c98cc68d",
-        "report.json": "7a18aecc807353bf3fe984eac20cc22a6c5b5035e12e92a086367e4e6ce608bb",
-        "summary.csv": "cdb3af8b3463aa6d3164da0f00c5afd917ac7cf4e85f6a19afd7fdf3ab7b25ac",
+        "replicates.csv": "65e7783e5370ea9242c4158043a7321303ad335c9bbf634fcd67673412c705bc",
+        "report.json": "4cc53b781367c1ca34cf08cacb79948e405f11c2f0ce868f37d1f829bab0e2cf",
+        "summary.csv": "d7abaf376a3aab3477051afe3c7ae939bf56cc10c689778af091879d0f743574",
     },
     "moments_epan_ball1": {
         "moments.csv": "a70ae076dc1ab4260b65da04bcc537e0063a2222229f52fdade74d32b2091aa2",
