@@ -169,9 +169,9 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     n, d = sample.shape
     m = X.shape[0]
     if kernel.form == "gaussian" and d == 2:
-        axes = [np.unique(X[:, j], return_inverse=True) for j in range(d)]
-        if sum(u.size for u, _ in axes) < m:
-            return _lattice_table(sample, kernel, h_values, axes, s)
+        coords, index = zip(*(np.unique(X[:, j], return_inverse=True) for j in range(d)))
+        if sum(u.size for u in coords) < m:
+            return _lattice_table(sample, kernel, h_values, coords, index, s)
     # D^s K = sum_e c_e t^e K with t = (x - X_i) / h; s = 0 is the one term e = 0, c = 1
     terms = _gaussian_deriv_monomials(s.orders)
     cols = np.ascontiguousarray(sample.T)
@@ -203,23 +203,24 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     return out
 
 
-def _lattice_table(sample, kernel: Kernel, h_values, axes, s: MultiIndex) -> np.ndarray:
-    """The Gaussian table on the 2-D product lattice axes[0] x axes[1], gathered at the grid points.
+def _lattice_table(sample, kernel: Kernel, h_values, coords, index, s: MultiIndex) -> np.ndarray:
+    """The Gaussian table on the 2-D product lattice U_0 x U_1, gathered at the grid points.
 
-    Each axis holds the distinct coordinates U_j and every grid point's index
-    into them.  exp(-|x - X_i|^2 / 2h^2) is the product over j of
-    exp(-(x_j - X_ij)^2 / 2h^2), and D^s multiplies axis j's factor by its
-    1-D Hermite polynomial, so per sample block and bandwidth the sums over
-    all lattice nodes are one (|U_0| x B) @ (B x |U_1|) product.  Each axis's
-    squared difference is clamped at the negligible radius, as r^2 is on the
-    direct path, which keeps exp out of its underflow range.
+    coords[j] holds the distinct coordinates U_j of axis j, and index[j]
+    each grid point's position in it.  exp(-|x - X_i|^2 / 2h^2) is the
+    product over j of exp(-(x_j - X_ij)^2 / 2h^2), and D^s multiplies axis
+    j's factor by its 1-D Hermite polynomial, so per sample block and
+    bandwidth the sums over all lattice nodes are one (|U_0| x B) @
+    (B x |U_1|) product.  Each axis's squared difference is clamped at the
+    negligible radius, as r^2 is on the direct path, which keeps exp out of
+    its underflow range.
     """
     n, d = sample.shape
     polys = [_gaussian_deriv_monomials((k,)) for k in s.orders]
-    acc = np.zeros((h_values.size,) + tuple(u.size for u, _ in axes))
+    acc = np.zeros((h_values.size,) + tuple(u.size for u in coords))
     for lo in range(0, n, _LATTICE_BLOCK):
         block = sample[lo : lo + _LATTICE_BLOCK]
-        diff = [u[:, None] - block[:, j] for j, (u, _) in enumerate(axes)]
+        diff = [u[:, None] - block[:, j] for j, u in enumerate(coords)]
         powers = [{e: dj**e for (e,), _ in terms if e} for dj, terms in zip(diff, polys)]
         sq = [np.square(dj, out=dj) for dj in diff]
         sq_max = [q.max() for q in sq]
@@ -234,7 +235,7 @@ def _lattice_table(sample, kernel: Kernel, h_values, axes, s: MultiIndex) -> np.
             acc[i] += bufs[0] @ bufs[1].T
     # the Gaussian's sup norm K(0) is its normalising constant
     scale = kernel.sup_norm / (n * h_values ** (d + s.order))
-    return acc[:, axes[0][1], axes[1][1]] * scale[:, None]
+    return acc[:, index[0], index[1]] * scale[:, None]
 
 
 def kde_eval(sample, kernel: Kernel, h: float, x) -> float:
