@@ -1,8 +1,9 @@
 # cli.py
 # Command-line entry point.  The subcommands are the ones harness.MODES
-# names, plus fit; every one takes --config PATH, --out DIR and --seed N
-# (seed overrides the config's base_seed).  Exit code 0 on success, 2 on
-# failure with a machine-readable JSON error summary on stderr.
+# names, plus fit; every one takes --config PATH and --out DIR, and every
+# one but fit takes --seed N (which overrides the config's base_seed).
+# Exit code 0 on success, 2 on failure with a machine-readable JSON error
+# summary on stderr.
 
 from __future__ import annotations
 
@@ -22,18 +23,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, default=None, help="override base_seed")
         if name == "fit":
             p.add_argument("--report", default=None, help="report.json path (default: <out>/report.json)")
             p.add_argument("--axis", default=None, choices=["h", "n"], help="fit axis (default: inferred)")
             p.add_argument("--statistic", default=None, choices=["mean", "median"])
+        else:
+            p.add_argument("--seed", type=int, default=None, help="override base_seed")
     return parser
 
 
 def _load_config(args) -> tuple[ExperimentConfig, Path]:
     config = ExperimentConfig.from_yaml(args.config)
-    if args.seed is not None:
-        config.raw["base_seed"] = int(args.seed)
     out_dir = Path(args.out) if args.out else Path(config.raw.get("out_dir", "out"))
     return config, out_dir
 
@@ -60,6 +60,8 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         config, out_dir = _load_config(args)
+        if args.seed is not None:
+            config.raw["base_seed"] = int(args.seed)
         expected = MODES[config.mode].command
         if args.command != expected:
             raise ValueError(f"config mode {config.mode!r} not valid for '{args.command}' (run it with '{expected}')")

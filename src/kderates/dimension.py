@@ -82,15 +82,19 @@ def fit_loglog(x, y, window: tuple[float, float] | None = None) -> RateFit:
     if np.any(y <= 0):
         bad = float(x[np.argmax(y <= 0)])
         raise ValueError(f"nonpositive value at x = {bad:g}: log-log fit undefined")
-    lx, ly = np.log(x), np.log(y)
+    return _ols_fit(np.log(x), np.log(y), window)
+
+
+def _ols_fit(lx: np.ndarray, ly: np.ndarray, window) -> RateFit:
+    """OLS line through the log-log points (lx, ly), with its maximal residual."""
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return RateFit(float(slope), float(intercept), (float(window[0]), float(window[1])), residual, int(x.size))
+    return RateFit(float(slope), float(intercept), (float(window[0]), float(window[1])), residual, int(lx.size))
 
 
-def dyadic_radii(diameter: float, j_min: int = 3, j_max: int = 8, per_octave: int = 2) -> np.ndarray:
-    """Radii 2^-j * diameter for j in [j_min, j_max], descending."""
-    js = np.linspace(j_min, j_max, (j_max - j_min) * per_octave + 1)
+def dyadic_radii(diameter: float, j_min: int = 3, j_max: int = 8) -> np.ndarray:
+    """Radii 2^-j * diameter for j in [j_min, j_max] in half-octave steps, descending."""
+    js = np.linspace(j_min, j_max, (j_max - j_min) * 2 + 1)
     return diameter * 2.0 ** (-js)
 
 
@@ -189,11 +193,7 @@ def box_dimension_estimate(sample, delta_grid) -> RateFit:
     if np.all(counts == 1):
         warnings.warn("degenerate sample: greedy cover is a single ball at every delta")
         return RateFit(0.0, 0.0, (float(deltas.min()), float(deltas.max())), 0.0, int(deltas.size))
-    lx = -np.log(deltas)
-    ly = np.log(counts)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return RateFit(float(slope), float(intercept), (float(deltas.min()), float(deltas.max())), residual, int(deltas.size))
+    return _ols_fit(-np.log(deltas), np.log(counts), (deltas.min(), deltas.max()))
 
 
 def correlation_dimension_estimate(sample, r_grid) -> RateFit:
@@ -217,10 +217,7 @@ def correlation_dimension_estimate(sample, r_grid) -> RateFit:
     radii, fracs = radii[keep], fracs[keep]
     if radii.size < 4:
         raise ValueError("fewer than 4 radii with nonzero pair counts")
-    lx, ly = np.log(radii), np.log(fracs)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return RateFit(float(slope), float(intercept), (float(radii.min()), float(radii.max())), residual, int(radii.size))
+    return _ols_fit(np.log(radii), np.log(fracs), (radii.min(), radii.max()))
 
 
 def radius_sweep_csv(sweep: RadiusSweep) -> str:

@@ -89,19 +89,15 @@ def _polar_weight_norm(q: int) -> float:
 class ReferenceDistribution:
     """Base class: immutable reference distribution with oracles.
 
-    Subclasses set ``kind``, ``ambient_dim``, ``analytic_voldim``,
-    ``domain_radius`` (evaluation set X sits inside B(0, domain_radius)),
-    ``support_bound`` (radius of a ball containing the support) and
-    optionally ``reach``, and implement the sampling and integration
-    primitives.
+    Subclasses set ``kind``, ``ambient_dim``, ``analytic_voldim`` and
+    ``support_bound`` (radius of a ball about 0 containing the support),
+    and implement the sampling and integration primitives.
     """
 
     kind: str
     ambient_dim: int
     analytic_voldim: float
-    domain_radius: float
     support_bound: float
-    reach: float | None = None
 
     # accuracy targets for the certified quadrature routes
     _density_tol = 1e-8
@@ -228,14 +224,12 @@ class ReferenceDistribution:
     def _check_table(self, kernel, s, values, X) -> tuple[MultiIndex | None, np.ndarray, np.ndarray]:
         """Validated (s, values, X) of a table call.
 
-        values are bandwidths (with a kernel, whose derivative support must
-        cover s) or radii (kernel None); all must be positive, and X must
-        hold points of the ambient dimension as rows.
+        values are bandwidths (with a kernel, which must support the
+        derivative order s) or radii (kernel None); all must be positive, and
+        X must hold points of the ambient dimension as rows.
         """
         if kernel is not None:
-            s = MultiIndex.coerce(s, self.ambient_dim)
-            if s.order > kernel.deriv_support:
-                raise ValueError(f"derivative order {s.order} unsupported by kernel {kernel.form}")
+            s = kernel.derivative_index(s)
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if values.ndim != 1 or not np.all(values > 0):
             raise ValueError(f"{'bandwidths h' if kernel is not None else 'radii r'} must be positive")
@@ -341,7 +335,6 @@ class UniformCube(ReferenceDistribution):
         self.ambient_dim = int(dim)
         self.analytic_voldim = float(dim)
         self.support_bound = math.sqrt(dim)
-        self.domain_radius = math.sqrt(dim)
 
     @property
     def support_diameter(self) -> float:
@@ -465,11 +458,6 @@ class UnboundedBall(ReferenceDistribution):
         self.beta = float(beta)
         self.analytic_voldim = dim - beta
         self.support_bound = 1.0
-        self.domain_radius = 2.0
-
-    @property
-    def support_diameter(self) -> float:
-        return 2.0
 
     def _sample(self, n, seed):
         d = self.ambient_dim
@@ -569,12 +557,6 @@ class UniformSphere(ReferenceDistribution):
         self.ambient_dim = self.manifold_dim + 1
         self.analytic_voldim = float(manifold_dim)
         self.support_bound = self.radius
-        self.domain_radius = self.radius
-        self.reach = self.radius
-
-    @property
-    def support_diameter(self) -> float:
-        return 2.0 * self.radius
 
     def _sample(self, n, seed):
         g = _rng(seed).standard_normal((n, self.ambient_dim))
@@ -668,9 +650,7 @@ class PointMasses(ReferenceDistribution):
         self.weights = weights
         self.ambient_dim = locations.shape[1]
         self.analytic_voldim = 0.0
-        norms = np.linalg.norm(locations, axis=1)
-        self.support_bound = float(norms.max())
-        self.domain_radius = max(float(norms.max()), 1.0)
+        self.support_bound = float(np.linalg.norm(locations, axis=1).max())
 
     @property
     def support_diameter(self) -> float:
@@ -732,7 +712,6 @@ class Mixture(ReferenceDistribution):
         self.ambient_dim = dims.pop()
         self.analytic_voldim = min(c.analytic_voldim for c in components)
         self.support_bound = max(c.support_bound for c in components)
-        self.domain_radius = max(c.domain_radius for c in components)
 
     @property
     def support_diameter(self) -> float:
@@ -788,32 +767,40 @@ class Mixture(ReferenceDistribution):
         return np.concatenate(parts, axis=0), max(covers)
 
 
+# kind -> (the parameters it accepts, its builder)
 _KINDS = {
-    "uniform_cube": lambda cfg: UniformCube(int(cfg["dim"])),
-    "unbounded_ball": lambda cfg: UnboundedBall(int(cfg["dim"]), float(cfg["beta"])),
-    "uniform_circle": lambda cfg: UniformCircle(float(cfg.get("radius", 1.0))),
-    "uniform_sphere": lambda cfg: UniformSphere(int(cfg["manifold_dim"]), float(cfg.get("radius", 1.0))),
-    "point_masses": lambda cfg: PointMasses(cfg["locations"], cfg.get("weights")),
+    "uniform_cube": (("dim",), lambda cfg: UniformCube(int(cfg["dim"]))),
+    "unbounded_ball": (("dim", "beta"), lambda cfg: UnboundedBall(int(cfg["dim"]), float(cfg["beta"]))),
+    "uniform_circle": (("radius",), lambda cfg: UniformCircle(float(cfg.get("radius", 1.0)))),
+    "uniform_sphere": (
+        ("manifold_dim", "radius"),
+        lambda cfg: UniformSphere(int(cfg["manifold_dim"]), float(cfg.get("radius", 1.0))),
+    ),
+    "point_masses": (("locations", "weights"), lambda cfg: PointMasses(cfg["locations"], cfg.get("weights"))),
+    "mixture": (
+        ("components", "weights"),
+        lambda cfg: Mixture([distribution_from_config(c) for c in cfg["components"]], cfg["weights"]),
+    ),
 }
 
 
 def distribution_from_config(cfg: dict) -> ReferenceDistribution:
     """Build a distribution from a config mapping {kind, ...parameters}.
 
-    A missing kind or a missing parameter of the kind raises ValueError.
+    A missing kind, a missing parameter of the kind or a parameter the kind
+    does not take raises ValueError.
     """
     cfg = dict(cfg)
-    choices = sorted(_KINDS) + ["mixture"]
     if "kind" not in cfg:
-        raise ValueError(f"distribution config needs a 'kind'; choose from {choices}")
+        raise ValueError(f"distribution config needs a 'kind'; choose from {sorted(_KINDS)}")
     kind = str(cfg.pop("kind")).lower()
-    if kind not in choices:
-        raise ValueError(f"unknown distribution kind {kind!r}; choose from {choices}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown distribution kind {kind!r}; choose from {sorted(_KINDS)}")
+    params, build = _KINDS[kind]
+    unknown = sorted(set(cfg) - set(params))
+    if unknown:
+        raise ValueError(f"distribution kind {kind!r}: unknown parameters {unknown}; known parameters {list(params)}")
     try:
-        if kind == "mixture":
-            comps = [distribution_from_config(c) for c in cfg["components"]]
-            return Mixture(comps, cfg["weights"])
-        return _KINDS[kind](cfg)
+        return build(cfg)
     except KeyError as missing:
         raise ValueError(f"distribution kind {kind!r} needs the parameter {missing.args[0]!r}") from None
-

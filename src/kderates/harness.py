@@ -43,6 +43,18 @@ __all__ = [
 
 _WORKERS_ENV = "KDERATES_WORKERS"
 _VOLDIM_SOURCES = ("oracle", "empirical")
+# the keys a config may hold, at the top level and in each section that
+# validate() does not hand whole to a builder with its own key check
+_CONFIG_KEYS = (
+    "mode", "out_dir", "base_seed", "replicates", "statistic", "n_list", "s", "export_sample_csv",
+    "distribution", "kernel", "h_grid", "x_grid", "moment", "voldim", "bounds", "covering",
+)
+_SECTION_KEYS = {
+    "h_grid": ("l_n", "h_max", "n_points", "points_per_decade"),
+    "x_grid": ("target_size",),
+    "moment": ("k",),
+    "voldim": ("sources", "n", "j_min", "j_max", "radii", "window"),
+}
 _COVERING_DEFAULTS = {
     "R": 1.0,
     "h_values": [0.1, 0.2, 0.3, 0.5, 0.8],
@@ -118,11 +130,7 @@ class ExperimentConfig:
         return self.n_list
 
     def derivative(self) -> MultiIndex:
-        kern = self.kernel()
-        s = MultiIndex.coerce(self.s, kern.dim)
-        if s.order > kern.deriv_support:
-            raise ValueError(f"derivative order {s.order} unsupported by the {kern.form} kernel")
-        return s
+        return self.kernel().derivative_index(self.s)
 
     def bandwidth_grid(self) -> BandwidthGrid:
         g = self.raw.get("h_grid", {})
@@ -164,7 +172,10 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
-        """Build every config part the mode's runner reads; raises ValueError."""
+        """Check the config's keys and build every part the mode's runner reads; raises ValueError."""
+        _check_keys("config", self.raw, _CONFIG_KEYS)
+        for section, known in _SECTION_KEYS.items():
+            _check_keys(section, self.raw.get(section) or {}, known)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         for part in MODES[self.mode].parts:

@@ -118,13 +118,12 @@ class BandwidthGrid:
         return cls(np.array([float(h)]))
 
 
-def make_eval_grid(dist: ReferenceDistribution, target_size: int, include_special: bool = True) -> EvalGrid:
+def make_eval_grid(dist: ReferenceDistribution, target_size: int) -> EvalGrid:
     """Lattice on the support plus the distribution's candidate sup points."""
     pts, covering = dist.lattice(int(target_size))
-    if include_special:
-        extra = dist.special_points()
-        if extra.size:
-            pts = np.vstack([pts, extra])
+    extra = dist.special_points()
+    if extra.size:
+        pts = np.vstack([pts, extra])
     pts = np.unique(pts, axis=0)
     return EvalGrid(pts, covering)
 
@@ -162,9 +161,7 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != kernel.dim:
         raise ValueError(f"evaluation points dimension {X.shape[1]} != kernel dimension {kernel.dim}")
-    s = MultiIndex.coerce(s, kernel.dim)
-    if s.order > kernel.deriv_support:
-        raise ValueError(f"derivative order {s.order} unsupported for kernel {kernel.form}")
+    s = kernel.derivative_index(s)
 
     n, d = sample.shape
     m = X.shape[0]
@@ -255,7 +252,7 @@ def discretization_bound(kernel: Kernel, s, spacing: float, h: float) -> float:
     grid max underestimates the continuum sup by at most this amount.
     Returns inf for kernels without a Lipschitz constant.
     """
-    s = MultiIndex.coerce(s, kernel.dim)
+    s = kernel.derivative_index(s)
     lip = kernel.deriv_lipschitz(s)
     if lip is None:
         return math.inf
@@ -287,7 +284,7 @@ def sup_deviation(
     The discretization bound is evaluated at the smallest bandwidth of the
     ray, where the kernel class is steepest.
     """
-    s = MultiIndex.coerce(s, kernel.dim)
+    s = kernel.derivative_index(s)
     oracle = dist.smoothed_derivative_table(kernel, s, h_grid.values, x_grid.points)
     est = kde_table(sample, kernel, h_grid.values, x_grid.points, s=s)
     diff = np.abs(est - oracle)

@@ -171,7 +171,6 @@ class Kernel:
         lipschitz: float | None,
         deriv_support: float,
         support_radius: float | None,
-        vc_params: tuple[float, float] | None = None,
         negligible_r2: float = math.inf,
     ):
         if dim < 1:
@@ -189,9 +188,6 @@ class Kernel:
         # farther pairs at this radius, which keeps exp out of its underflow
         # range, where it runs about ten times slower.
         self.negligible_r2 = float(negligible_r2)
-        # (A, nu) metadata for the uniformly-bounded-VC covering bound; the
-        # values are user-supplied, not computed (no algorithm is known to us).
-        self.vc_params = vc_params
 
     def __repr__(self):
         return f"Kernel(form={self.form!r}, dim={self.dim})"
@@ -319,24 +315,26 @@ class Kernel:
 
     def deriv_eval_many(self, s, U: np.ndarray) -> np.ndarray:
         """D^s K at each row of U, shape (..., d); s = None (or zero) gives K."""
-        s = MultiIndex.coerce(s, self.dim)
+        s = self.derivative_index(s)
         U = np.asarray(U, dtype=float)
         if U.shape[-1:] != (self.dim,):
             raise ValueError(f"points have shape {U.shape}, expected (..., {self.dim})")
         if s.is_zero():
             return self.profile(np.linalg.norm(U, axis=-1))
-        self._require_deriv(s)
         out = np.ones(U.shape[:-1])
         for i, k in enumerate(s.orders):
             out = out * _phi_deriv(k, U[..., i])
         return out
 
-    def _require_deriv(self, s: MultiIndex):
+    def derivative_index(self, s) -> MultiIndex:
+        """s (None for zero, a MultiIndex or a sequence of ints) as a MultiIndex D^s K supports.
+
+        Every entry point that takes a derivative order checks it here.
+        """
+        s = MultiIndex.coerce(s, self.dim)
         if s.order > self.deriv_support:
-            raise ValueError(
-                f"derivative order |s|={s.order} unsupported for {self.form} "
-                f"(deriv_support={self.deriv_support})"
-            )
+            raise ValueError(f"derivative order |s|={s.order} unsupported by the {self.form} kernel")
+        return s
 
     # -- tail suprema -------------------------------------------------------
 
@@ -349,10 +347,9 @@ class Kernel:
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
-        s = MultiIndex.coerce(s, self.dim)
+        s = self.derivative_index(s)
         if s.is_zero():
             return self.radial(float(t))
-        self._require_deriv(s)
         return _gaussian_deriv_shell_sup(s.orders, float(t))
 
     def deriv_sup_norm(self, s=None) -> float:
@@ -361,10 +358,9 @@ class Kernel:
 
     def deriv_lipschitz(self, s=None) -> float | None:
         """Global Lipschitz constant of D^s K (numeric for s != 0)."""
-        s = MultiIndex.coerce(s, self.dim)
+        s = self.derivative_index(s)
         if s.is_zero():
             return self.lipschitz
-        self._require_deriv(s)
         return _gaussian_deriv_lipschitz(s.orders)
 
     # -- integrability functional --------------------------------------------
@@ -380,7 +376,7 @@ class Kernel:
             raise ValueError("d_vol must be positive")
         if k <= 0:
             raise ValueError("k must be positive")
-        s = MultiIndex.coerce(s, self.dim)
+        s = self.derivative_index(s)
 
         def tail(t):
             return self.tail_sup(t, s)
@@ -531,16 +527,12 @@ _FORMS = {
 
 
 def kernel_from_config(cfg: dict) -> Kernel:
-    """Build a kernel from a config mapping {form, dim, [vc_params]}."""
+    """Build a kernel from a config mapping {form, dim}."""
     cfg = dict(cfg)
     form = str(cfg.pop("form")).lower()
     dim = int(cfg.pop("dim"))
-    vc = cfg.pop("vc_params", None)
     if cfg:
         raise ValueError(f"unknown kernel config keys: {sorted(cfg)}")
     if form not in _FORMS:
         raise ValueError(f"unknown kernel form {form!r}; choose from {sorted(_FORMS)}")
-    kernel = _FORMS[form](dim)
-    if vc is not None:
-        kernel.vc_params = (float(vc[0]), float(vc[1]))
-    return kernel
+    return _FORMS[form](dim)

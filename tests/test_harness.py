@@ -15,23 +15,24 @@ import yaml
 from kderates.harness import MODES, DeviationReport, ExperimentConfig, dumps_17g, emit_plots, fit_rate, run
 from kderates.cli import _build_parser, main as cli_main
 from kderates.distributions import UniformCircle, UniformCube, distribution_from_config
-from kderates.kernels import kernel_from_config
+from kderates.kde import kde_table
+from kderates.kernels import Kernel, kernel_from_config
+
+_RATE_CFG = {
+    "mode": "rate_in_h",
+    "distribution": {"kind": "uniform_cube", "dim": 1},
+    "kernel": {"form": "gaussian", "dim": 1},
+    "n_list": [2000],
+    "h_grid": {"l_n": 0.1, "h_max": 0.4, "n_points": 5},
+    "x_grid": {"target_size": 21},
+    "replicates": 4,
+    "base_seed": 77,
+    "statistic": "median",
+}
 
 
 def small_rate_config(mode="rate_in_h", **overrides):
-    cfg = {
-        "mode": mode,
-        "distribution": {"kind": "uniform_cube", "dim": 1},
-        "kernel": {"form": "gaussian", "dim": 1},
-        "n_list": [2000],
-        "h_grid": {"l_n": 0.1, "h_max": 0.4, "n_points": 5},
-        "x_grid": {"target_size": 21},
-        "replicates": 4,
-        "base_seed": 77,
-        "statistic": "median",
-    }
-    cfg.update(overrides)
-    return ExperimentConfig.from_dict(cfg)
+    return ExperimentConfig.from_dict({**_RATE_CFG, "mode": mode, **overrides})
 
 
 class TestConfig:
@@ -94,6 +95,43 @@ class TestConfig:
         bounds = {"n": 1000, "l_n": 0.1, "d": 2, "d_vol": 1.0, "delta": 0.05, "sigma": 0.5}
         with pytest.raises(ValueError, match="sigma"):
             ExperimentConfig.from_dict({"mode": "bounds", "bounds": bounds})
+
+    @pytest.mark.parametrize("key", ["R", "M_K"])
+    def test_removed_bounds_field_rejected(self, key):
+        bounds = {"n": 1000, "l_n": 0.1, "d": 2, "d_vol": 1.0, "delta": 0.05, key: 1.0}
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            ExperimentConfig.from_dict({"mode": "bounds", "bounds": bounds})
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({**_RATE_CFG, "replicats": 20}, "replicats"),
+            ({**_RATE_CFG, "h_grid": {"l_n": 0.1, "hmax": 0.4}}, "hmax"),
+            ({**_RATE_CFG, "x_grid": {"target_sise": 21}}, "target_sise"),
+            ({"mode": "voldim", "distribution": {"kind": "uniform_cube", "dim": 1}, "voldim": {"source": ["oracle"]}}, "source"),
+            (
+                {
+                    "mode": "moment_scaling",
+                    "distribution": {"kind": "uniform_cube", "dim": 1},
+                    "kernel": {"form": "gaussian", "dim": 1},
+                    "moment": {"K": 3.0},
+                    "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
+                },
+                "K",
+            ),
+            ({"mode": "voldim", "distribution": {"kind": "uniform_circle", "dim": 5}}, "dim"),
+        ],
+        ids=["replicates", "h_grid.h_max", "x_grid.target_size", "voldim.sources", "moment.k", "uniform_circle.dim"],
+    )
+    def test_misspelled_key_rejected(self, cfg, key):
+        with pytest.raises(ValueError, match=f"unknown .*'{key}'"):
+            ExperimentConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_readme_config_schema_validates(self, mode):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config schema (YAML)", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        ExperimentConfig.from_dict({**yaml.safe_load(block), "mode": mode})
 
     def test_voldim_needs_distribution(self):
         with pytest.raises(ValueError, match="distribution"):
@@ -397,6 +435,11 @@ class TestCli:
         assert a["base_seed"] == 99 and b["base_seed"] == 12
         assert a["config_hash"] != b["config_hash"]
 
+    def test_fit_takes_no_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["fit", "--config", str(self.write_cfg(tmp_path)), "--seed", "1"])
+        assert "--seed" in capsys.readouterr().err
+
     def test_mode_mismatch_errors(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         rc = cli_main(["voldim", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -415,6 +458,34 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.csv").exists()
+
+
+# -- derivative orders ----------------------------------------------------------------
+
+_EPAN2 = Kernel.epanechnikov(2)
+_DERIVATIVE_ENTRY_POINTS = {
+    "kde_table": lambda s: kde_table(np.zeros((3, 2)), _EPAN2, [0.3], np.zeros((1, 2)), s=s),
+    "smoothed_derivative_table": lambda s: UniformCube(2).smoothed_derivative_table(_EPAN2, s, [0.3], np.zeros((1, 2))),
+    "moment_table": lambda s: UniformCube(2).moment_table(_EPAN2, s, [0.3], np.zeros((1, 2)), 2.0),
+    "deriv_eval_many": lambda s: _EPAN2.deriv_eval_many(s, np.zeros((1, 2))),
+    "tail_sup": lambda s: _EPAN2.tail_sup(0.5, s),
+    "ExperimentConfig.from_dict": lambda s: ExperimentConfig.from_dict(
+        {
+            "mode": "moment_scaling",
+            "distribution": {"kind": "uniform_cube", "dim": 2},
+            "kernel": {"form": "epanechnikov", "dim": 2},
+            "s": list(s),
+            "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DERIVATIVE_ENTRY_POINTS))
+def test_unsupported_derivative_order_one_message(entry):
+    with pytest.raises(ValueError) as info:
+        _DERIVATIVE_ENTRY_POINTS[entry]((1, 0))
+    assert str(info.value) == "derivative order |s|=1 unsupported by the epanechnikov kernel"
 
 
 # -- golden artifacts ---------------------------------------------------------------

@@ -267,7 +267,7 @@ class TestMultiIndex:
 def test_kernel_from_config():
     k = kernel_from_config({"form": "Gaussian", "dim": 2})
     assert k.form == "gaussian" and k.dim == 2
-    k2 = kernel_from_config({"form": "epanechnikov", "dim": 1, "vc_params": [1.5, 2.0]})
-    assert k2.vc_params == (1.5, 2.0)
+    with pytest.raises(ValueError, match="vc_params"):
+        kernel_from_config({"form": "epanechnikov", "dim": 1, "vc_params": [1.5, 2.0]})
     with pytest.raises(ValueError):
         kernel_from_config({"form": "cosine", "dim": 1})
