@@ -621,7 +621,7 @@ _GOLDEN_SHA256 = {
         "summary.csv": "cd243b0b7de77b4ce99c7aa308f28f2c24aaa0857391f2e4310dbfbb764083fb",
     },
     "bounds_sigma2": {
-        "bounds.json": "d1e42f65103613f3932cbcba6f7aa08fdf35020d889ef7903541764c130fab3e",
+        "bounds.json": "5cbfa4892caf49d25bfb1ad7cb2a88ff2deaa5c7a3fcfdf74f8f7a9056f9c0eb",
     },
     "circle": {
         "replicates.csv": "a51eecb69ea1c345c8795d7ecd6743b7db589c7e91bd5cf64aa1b6db3d75d989",
