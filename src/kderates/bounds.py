@@ -138,7 +138,6 @@ def covering_bound(kernel: Kernel, h: float, R: float, eta: float, s=None) -> fl
         raise ValueError("h must be positive")
     if R <= 0:
         raise ValueError("R must be positive")
-    s = kernel.derivative_index(s)
     sup = kernel.deriv_sup_norm(s)
     if not 0.0 < eta < sup:
         raise ValueError(f"eta must lie in (0, {sup:g})")
@@ -162,7 +161,6 @@ def empirical_covering(kernel: Kernel, h: float, x_grid, q_sample, eta: float, s
     Q = np.atleast_2d(np.asarray(q_sample, dtype=float))
     if X.shape[1] != kernel.dim or Q.shape[1] != kernel.dim:
         raise ValueError("grid/sample dimension mismatch with the kernel")
-    s = kernel.derivative_index(s)
     diff = (X[:, None, :] - Q[None, :, :]) / h
     F = kernel.deriv_eval_many(s, diff)
     uncovered = np.ones(X.shape[0], dtype=bool)

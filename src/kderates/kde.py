@@ -284,7 +284,6 @@ def sup_deviation(
     The discretization bound is evaluated at the smallest bandwidth of the
     ray, where the kernel class is steepest.
     """
-    s = kernel.derivative_index(s)
     oracle = dist.smoothed_derivative_table(kernel, s, h_grid.values, x_grid.points)
     est = kde_table(sample, kernel, h_grid.values, x_grid.points, s=s)
     diff = np.abs(est - oracle)
