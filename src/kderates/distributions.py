@@ -224,11 +224,13 @@ class ReferenceDistribution:
     def _check_table(self, kernel, s, values, X) -> tuple[MultiIndex | None, np.ndarray, np.ndarray]:
         """Validated (s, values, X) of a table call.
 
-        values are bandwidths (with a kernel, which must support the
-        derivative order s) or radii (kernel None); all must be positive, and
-        X must hold points of the ambient dimension as rows.
+        values are bandwidths (with a kernel of the ambient dimension, which
+        must support the derivative order s) or radii (kernel None); all must
+        be positive, and X must hold points of the ambient dimension as rows.
         """
         if kernel is not None:
+            if kernel.dim != self.ambient_dim:
+                raise ValueError(f"kernel dimension {kernel.dim} != ambient dimension {self.ambient_dim}")
             s = kernel.derivative_index(s)
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if values.ndim != 1 or not np.all(values > 0):

@@ -579,6 +579,14 @@ class TestOneTable:
             with pytest.raises(ValueError, match="unsupported"):
                 dist.moment_k(epan1, np.array([0.2]), 0.3, 2.0, (1,))
 
+    def test_table_rejects_kernel_of_another_dimension(self):
+        for dist, kernel in [(UniformCube(1), Kernel.gaussian(2)), (UniformCircle(), Kernel.epanechnikov(1))]:
+            X = np.full((1, dist.ambient_dim), 0.2)
+            with pytest.raises(ValueError, match="kernel dimension"):
+                dist.smoothed_density_table(kernel, [0.3], X)
+            with pytest.raises(ValueError, match="kernel dimension"):
+                dist.moment_table(kernel, None, [0.3], X, 2.0)
+
     def test_sphere2_vector_error_budget(self, monkeypatch):
         # every quad reports error e: the outer one adds e, and the inner ones,
         # weighted by sin(theta) over [0, pi], add up to 2e
