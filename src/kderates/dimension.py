@@ -85,7 +85,7 @@ def fit_loglog(x, y, window: tuple[float, float] | None = None) -> RateFit:
     return _ols_fit(np.log(x), np.log(y), window)
 
 
-def _ols_fit(lx: np.ndarray, ly: np.ndarray, window) -> RateFit:
+def _ols_fit(lx: np.ndarray, ly: np.ndarray, window: tuple[float, float]) -> RateFit:
     """OLS line through the log-log points (lx, ly), with its maximal residual."""
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
