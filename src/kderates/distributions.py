@@ -76,6 +76,8 @@ def cap_fraction(cos_theta: float, sphere_dim: int) -> float:
         return 1.0
     if cos_theta >= 1.0:
         return 0.0
+    if sphere_dim == 1:
+        return math.acos(cos_theta) / math.pi
     sin2 = max(0.0, 1.0 - cos_theta * cos_theta)
     half = 0.5 * betainc(sphere_dim / 2.0, 0.5, sin2)
     return half if cos_theta >= 0.0 else 1.0 - half
@@ -620,19 +622,6 @@ class UniformCircle(UniformSphere):
     def __init__(self, radius: float = 1.0):
         super().__init__(1, radius)
         self.kind = "uniform_circle"
-
-    def _ball_prob_impl(self, x, r):
-        # arc-length fraction, exact
-        m = float(np.linalg.norm(x))
-        rho = self.radius
-        if m < _TINY:
-            return (1.0 if rho < r else 0.0), 0.0
-        c = (m * m + rho * rho - r * r) / (2.0 * m * rho)
-        if c <= -1.0:
-            return 1.0, 0.0
-        if c >= 1.0:
-            return 0.0, 0.0
-        return math.acos(c) / math.pi, 0.0
 
 
 class PointMasses(ReferenceDistribution):
