@@ -22,10 +22,11 @@
 #                   mixtures (the weighted sum of the component tables)
 #   _moment_table   point masses, cube + Gaussian derivatives (products of
 #                   1-D quadratures), and mixtures (the same weighted sum)
-# A Gaussian moment with s = 0 is a rescaled p_h table.  Every other cell,
-# and every ball probability, is filled by one certified per-cell routine
-# over low-dimensional quadrature on the manifold or radial parameter; the
-# sphere and the ball share one sphere-average quadrature.
+# A Gaussian moment with s = 0 is a rescaled p_h table.  Every other cell is
+# filled by one certified per-cell routine over low-dimensional quadrature on
+# the manifold or radial parameter; the sphere and the ball share one
+# sphere-average quadrature.  Ball probabilities are closed form, except off
+# the ball's centre and on the cube in d >= 3, where one quadrature is left.
 #
 # The scalar quadrature callbacks take and return Python floats: a radial
 # integrand is a float function of the distance, built on Kernel.radial,
@@ -35,6 +36,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -86,6 +88,41 @@ def cap_fraction(cos_theta: float, sphere_dim: int) -> float:
 def _polar_weight_norm(q: int) -> float:
     """int_0^pi sin^(q-1) theta dtheta for the polar angle on S^q."""
     return math.sqrt(math.pi) * math.gamma(q / 2.0) / math.gamma((q + 1) / 2.0)
+
+
+def _disk_square_area(c0: float, c1: float, r: float) -> float:
+    """Area of the disk of radius r about (c0, c1) inside [0, 1]^2, in closed form.
+
+    At the offset t = u - c0 the chord is clip(c1 + y, 0, 1) - clip(c1 - y, 0, 1)
+    with y = sqrt(r^2 - t^2): a constant plus 0, 1 or 2 times y between the
+    offsets where a clip switches, and y integrates to (t y + r^2 atan2(t, y)) / 2.
+    Every cut carries its y exactly, so a whole disk gives pi r^2 to rounding.
+    """
+
+    def cut(t):
+        return t, math.sqrt(max(0.0, (r - abs(t)) * (r + abs(t))))
+
+    cuts = [cut(max(-c0, -r)), cut(min(1.0 - c0, r))]
+    if cuts[1][0] <= cuts[0][0]:
+        return 0.0
+    for y in (abs(c1), abs(1.0 - c1)):
+        if y < r:
+            w = math.sqrt((r - y) * (r + y))
+            cuts += [(t, y) for t in (-w, w) if cuts[0][0] < t < cuts[1][0]]
+    cuts.sort()
+    area = 0.0
+    for (ta, ya), (tb, yb) in zip(cuts, cuts[1:]):
+        y = math.sqrt(max(0.0, r * r - (0.5 * (ta + tb)) ** 2))
+        const = mult = 0.0
+        for sign in (1.0, -1.0):
+            if c1 + sign * y >= 1.0:
+                const += sign
+            elif c1 + sign * y > 0.0:
+                const += sign * c1
+                mult += 1.0
+        prim = tb * yb - ta * ya + r * r * (math.atan2(tb, yb) - math.atan2(ta, ya))
+        area += const * (tb - ta) + 0.5 * mult * prim
+    return area
 
 
 class ReferenceDistribution:
@@ -348,31 +385,30 @@ class UniformCube(ReferenceDistribution):
         return _rng(seed).random((n, self.ambient_dim))
 
     def _ball_prob_impl(self, x, r):
-        # volume of B(x, r) intersected with the cube, by slicing recursion
-        # on a tuple of float coordinates
-        def vol(center, radius, k):
-            if radius <= 0:
-                return 0.0, 0.0
-            if k == 1:
-                lo = max(0.0, center[0] - radius)
-                hi = min(1.0, center[0] + radius)
-                return max(0.0, hi - lo), 0.0
+        # volume of B(x, r) intersected with the cube: an interval in 1-D, the
+        # closed-form disk in a square in 2-D, and slices down to 2-D above
+        def vol(center, radius):
+            if len(center) == 2:
+                return _disk_square_area(center[0], center[1], radius), 0.0
             lo = max(0.0, center[0] - radius)
             hi = min(1.0, center[0] + radius)
-            if hi <= lo:
-                return 0.0, 0.0
+            if len(center) == 1 or hi <= lo:
+                return max(0.0, hi - lo), 0.0
             errs = []
 
             def slice_vol(u):
-                rad = math.sqrt(max(0.0, radius * radius - (u - center[0]) ** 2))
-                v, e = vol(center[1:], rad, k - 1)
+                v, e = vol(center[1:], math.sqrt(max(0.0, radius * radius - (u - center[0]) ** 2)))
                 errs.append(e)
                 return v
 
-            v, e = _quad(slice_vol, lo, hi)
-            return v, e + (max(errs) if errs else 0.0) * (hi - lo)
+            # a slice's volume has a kink where its sphere reaches a face of the cube
+            faces = itertools.product(*[(0.0, c, 1.0 - c) for c in center[1:]])
+            w = [math.sqrt(radius * radius - t) for t in {sum(v * v for v in o) for o in faces} if t < radius * radius]
+            kinks = sorted(u for v in w for u in (center[0] - v, center[0] + v) if lo < u < hi)
+            v, e = _quad(slice_vol, lo, hi, points=kinks or None)
+            return v, e + max(errs, default=0.0) * (hi - lo)
 
-        return vol(tuple(float(v) for v in x), r, self.ambient_dim)
+        return vol(tuple(float(v) for v in x), r)
 
     def _table(self, kernel, s, h_values, X):
         # the Gaussian factorises over coordinates on a product domain
@@ -477,20 +513,24 @@ class UnboundedBall(ReferenceDistribution):
         return _quad(lambda u: inner(u ** (1.0 / a)), 0.0, 1.0)
 
     def _ball_prob_impl(self, x, r):
+        # the shells rho < r - m lie inside B(x, r) whole and those with
+        # |rho - m| >= r miss it, so only the rest are integrated, in u = rho^a
         m = float(np.linalg.norm(x))
+        a = self.ambient_dim - self.beta
         if m < _TINY:
-            return min(r, 1.0) ** (self.ambient_dim - self.beta), 0.0
-        if r >= m + 1.0:
-            return 1.0, 0.0
+            return min(r, 1.0) ** a, 0.0
+        inside = min(max(r - m, 0.0), 1.0) ** a
+        lo, hi = abs(m - r) ** a, min(m + r, 1.0) ** a
+        if hi <= lo:
+            return inside, 0.0
         q = self.ambient_dim - 1
 
-        def frac(rho):
-            if rho < _TINY:
-                return 1.0 if m < r else 0.0
-            c = (m * m + rho * rho - r * r) / (2.0 * m * rho)
-            return cap_fraction(c, q)
+        def frac(u):
+            rho = u ** (1.0 / a)
+            return cap_fraction((m * m + rho * rho - r * r) / (2.0 * m * rho), q)
 
-        return self._radial_pushforward(frac)
+        v, e = _quad(frac, lo, hi)
+        return inside + v, e
 
     def _table(self, kernel, s, h_values, X):
         if kernel.form != "gaussian" or self.ambient_dim != 2 or not s.is_zero():

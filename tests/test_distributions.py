@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import ndtr
 
 import kderates.distributions as dist_module
@@ -15,7 +15,9 @@ from kderates.distributions import (
     UniformSphere,
     distribution_from_config,
 )
+from kderates.dimension import dyadic_radii
 from kderates.harness import ExperimentConfig, run
+from kderates.kde import make_eval_grid
 from kderates.kernels import Kernel
 
 
@@ -212,6 +214,97 @@ class TestBallProb:
             assert ratios.max() < 50.0
             per_x_min = ratios[:, 5:].min(axis=1)  # small-r half of the sweep
             assert per_x_min.max() > 1e-3
+
+
+def _ball_reference(dim, beta, x, r):
+    """P(B(x, r)) for UnboundedBall as a quad over the radius rho, with breakpoints at |m +- r|.
+
+    The shell of radius rho puts the fraction acos(c)/pi (circle) or (1 - c)/2
+    (sphere S^2, Archimedes) of its mass in the ball, c = (m^2 + rho^2 - r^2) / (2 m rho).
+    """
+    a = dim - beta
+    m = float(np.linalg.norm(x))
+    if m == 0.0:
+        return min(r, 1.0) ** a
+
+    def shell(rho):
+        c = max(-1.0, min(1.0, (m * m + rho * rho - r * r) / (2.0 * m * rho)))
+        return (math.acos(c) / math.pi if dim == 2 else 0.5 * (1.0 - c)) * a * rho ** (a - 1.0)
+
+    kinks = [k for k in (abs(m - r), m + r) if 0.0 < k < 1.0]
+    return integrate.quad(shell, 0.0, 1.0, points=kinks or None, epsabs=1e-14, limit=200)[0]
+
+
+def _half_plane_area(a, r):
+    """Area of the disk of radius r about 0 in {x >= a}."""
+    if a < 0.0:
+        return math.pi * r * r - _half_plane_area(-a, r)
+    if a >= r:
+        return 0.0
+    y = math.sqrt(r * r - a * a)
+    return math.pi * r * r / 2.0 - a * y - r * r * math.atan2(a, y)
+
+
+def _quadrant_area(a, b, r):
+    """Area of the disk of radius r about 0 in {x >= a, y >= b}."""
+    if a < 0.0:
+        return _half_plane_area(b, r) - _quadrant_area(-a, b, r)
+    if b < 0.0:
+        return _half_plane_area(a, r) - _quadrant_area(a, -b, r)
+    if a * a + b * b >= r * r:
+        return 0.0
+    # int_a^top (sqrt(r^2 - x^2) - b) dx, where the circle meets y = b at x = top
+    top = math.sqrt(r * r - b * b)
+    y = math.sqrt(r * r - a * a)
+    arc = 0.5 * (top * b - a * y + r * r * (math.atan2(top, b) - math.atan2(a, y)))
+    return arc - b * (top - a)
+
+
+def _disk_unit_square_area(x, r):
+    """Area of the disk B(x, r) inside [0, 1]^2 by inclusion-exclusion of quadrant areas."""
+    q = [[_quadrant_area(u - x[0], v - x[1], r) for v in (0.0, 1.0)] for u in (0.0, 1.0)]
+    return q[0][0] - q[1][0] - q[0][1] + q[1][1]
+
+
+class TestBallProbReferences:
+    """Ball probabilities against references coded here; the claimed error must cover the true one."""
+
+    @staticmethod
+    def _check(dist, x, r, want, tol):
+        got, err = dist._ball_prob_impl(np.asarray(x, dtype=float), r)
+        assert abs(got - want) <= tol, (x, r, got, want)
+        assert abs(got - want) <= err + 1e-14, (x, r, got, want, err)
+
+    def test_ball_on_the_voldim_grid(self):
+        dist = UnboundedBall(2, 1.0)
+        X = make_eval_grid(dist, 64).points
+        cells = [(x, float(r)) for r in dyadic_radii(dist.support_diameter, 3, 8) for x in X]
+        # a cell the unbroken quadrature read as 0 with error 0
+        cells.append(((0.05, 0.0), 0.0111714808901674))
+        for x, r in cells:
+            self._check(dist, x, r, _ball_reference(2, 1.0, x, r), 1e-10)
+
+    @pytest.mark.parametrize("dim,beta", [(2, 0.5), (3, 1.0)])
+    def test_ball_other_dims_and_exponents(self, dim, beta):
+        dist = UnboundedBall(dim, beta)
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            x = rng.uniform(-0.7, 0.7, dim)
+            r = float(rng.uniform(0.005, 1.5))
+            self._check(dist, x, r, _ball_reference(dim, beta, x, r), 1e-10)
+
+    def test_cube2_disk_in_square(self):
+        dist = UniformCube(2)
+        rng = np.random.default_rng(42)
+        cells = [((0.2740, 0.0071), 0.3157), ((0.5, 0.5), 0.01), ((-0.2, 1.3), 0.5), ((0.5, 0.5), 1.5)]
+        cells += [(rng.uniform(-0.5, 1.5, 2), float(rng.uniform(0.001, 1.6))) for _ in range(40)]
+        for x, r in cells:
+            self._check(dist, x, r, _disk_unit_square_area(x, r), 1e-12)
+
+    def test_cube3_interior_ball(self):
+        dist = UniformCube(3)
+        for x, r in [((0.5, 0.5, 0.5), 0.3), ((0.4, 0.55, 0.6), 0.1), ((0.3, 0.7, 0.5), 0.25)]:
+            self._check(dist, x, r, 4.0 * math.pi * r**3 / 3.0, 1e-10)
 
 
 class TestSmoothedDensity:
