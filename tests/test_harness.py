@@ -709,8 +709,8 @@ _GOLDEN_SHA256 = {
         "voldim.json": "be1065d3f60d70ac8b220f0ee222a4d0e06a16e40bf707392b9db626506532fa",
     },
     "voldim_oracle_cube2": {
-        "sweep_oracle.csv": "4cb1722d79cbb611fcd86f7b338cd885664f2761391a698a7e82a6cd66241643",
-        "voldim.json": "71cd639b10cbc85e145ec5fd31af891958b96cc9feef5a6e14d0f602cb82f16d",
+        "sweep_oracle.csv": "2056d04a1d23add0eaf71c5489718e647bddc22939e76a1935b3ea99108e75d8",
+        "voldim.json": "9dc8b60498086af347f82c5c49a39f39da29597312a5af6b2a70ed56a587ad01",
     },
 }
 
