@@ -517,8 +517,6 @@ class UnboundedBall(ReferenceDistribution):
         # |rho - m| >= r miss it, so only the rest are integrated, in u = rho^a
         m = float(np.linalg.norm(x))
         a = self.ambient_dim - self.beta
-        if m < _TINY:
-            return min(r, 1.0) ** a, 0.0
         inside = min(max(r - m, 0.0), 1.0) ** a
         lo, hi = abs(m - r) ** a, min(m + r, 1.0) ** a
         if hi <= lo:
