@@ -112,14 +112,13 @@ def _disk_square_area(c0: float, c1: float, r: float) -> float:
     cuts.sort()
     area = 0.0
     for (ta, ya), (tb, yb) in zip(cuts, cuts[1:]):
-        y = math.sqrt(max(0.0, r * r - (0.5 * (ta + tb)) ** 2))
-        const = mult = 0.0
-        for sign in (1.0, -1.0):
-            if c1 + sign * y >= 1.0:
-                const += sign
-            elif c1 + sign * y > 0.0:
-                const += sign * c1
-                mult += 1.0
+        # clip(c1 + y, 0, 1) and clip(c1 - y, 0, 1) as (constant, times y), read
+        # at the midpoint against the thresholds the cuts used; a tie there is
+        # a tangency at y = r and is sent to the case that holds on the piece
+        y = cut(0.5 * (ta + tb))[1]
+        top = (1.0, 0.0) if y > 1.0 - c1 else (c1, 1.0) if y > -c1 else (0.0, 0.0)
+        bottom = (1.0, 0.0) if y <= c1 - 1.0 else (c1, -1.0) if y <= c1 else (0.0, 0.0)
+        const, mult = top[0] - bottom[0], top[1] - bottom[1]
         prim = tb * yb - ta * ya + r * r * (math.atan2(tb, yb) - math.atan2(ta, ya))
         area += const * (tb - ta) + 0.5 * mult * prim
     return area

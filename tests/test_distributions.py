@@ -297,6 +297,8 @@ class TestBallProbReferences:
         dist = UniformCube(2)
         rng = np.random.default_rng(42)
         cells = [((0.2740, 0.0071), 0.3157), ((0.5, 0.5), 0.01), ((-0.2, 1.3), 0.5), ((0.5, 0.5), 1.5)]
+        # circles tangent to one, two and four edges, from inside and from outside
+        cells += [((0.5, 0.25), 0.25), ((0.25, 0.75), 0.25), ((0.5, 0.5), 0.5), ((0.5, -0.5), 0.5), ((0.5, 1.0), 1.0)]
         cells += [(rng.uniform(-0.5, 1.5, 2), float(rng.uniform(0.001, 1.6))) for _ in range(40)]
         for x, r in cells:
             self._check(dist, x, r, _disk_unit_square_area(x, r), 1e-12)
