@@ -279,7 +279,7 @@ class TestBallProbReferences:
         dist = UnboundedBall(2, 1.0)
         X = make_eval_grid(dist, 64).points
         cells = [(x, float(r)) for r in dyadic_radii(dist.support_diameter, 3, 8) for x in X]
-        # a cell the unbroken quadrature read as 0 with error 0
+        # a cell that one quadrature over the whole radius read as 0 with error 0
         cells.append(((0.05, 0.0), 0.0111714808901674))
         for x, r in cells:
             self._check(dist, x, r, _ball_reference(2, 1.0, x, r), 1e-10)
