@@ -27,6 +27,9 @@
 # the manifold or radial parameter; the sphere and the ball share one
 # sphere-average quadrature.  Ball probabilities are closed form, except off
 # the ball's centre and on the cube in d >= 3, where one quadrature is left.
+# On the ball and the sphere a radial cell (an s = 0 quadrature, a ball
+# probability, the ball's Bessel p_h) reads x only through ||x||, so each
+# row computes it once per distinct norm and copies it to the other points.
 #
 # The scalar quadrature callbacks take and return Python floats: a radial
 # integrand is a float function of the distance, built on Kernel.radial,
@@ -137,6 +140,9 @@ class ReferenceDistribution:
     analytic_voldim: float
     support_bound: float
 
+    # whether every oracle depends on x through ||x|| alone (see _fill)
+    _rotation_invariant = False
+
     # accuracy targets for the certified quadrature routes
     _density_tol = 1e-8
     _ball_tol = 1e-4
@@ -167,7 +173,7 @@ class ReferenceDistribution:
             p, err = self._ball_prob_impl(x, r)
             return min(max(p, 0.0), 1.0), err
 
-        return self._fill([float(r) for r in radii], X, cell, self._ball_tol, "ball_prob")
+        return self._fill([float(r) for r in radii], X, cell, self._ball_tol, "ball_prob", radial=True)
 
     def _ball_prob_impl(self, x: np.ndarray, r: float) -> tuple[float, float]:
         raise NotImplementedError
@@ -204,7 +210,9 @@ class ReferenceDistribution:
 
         what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
         cell = self._expect_radial if s.is_zero() else self._expect_vector
-        return self._fill([integrand(float(h)) for h in h_values], X, cell, self._density_tol, what)
+        return self._fill(
+            [integrand(float(h)) for h in h_values], X, cell, self._density_tol, what, radial=s.is_zero()
+        )
 
     def moment_k(self, kernel: Kernel, x, h: float, k: float, s=None) -> float:
         """E[ |D^s K((x - X)/h)|^k ], as the 1x1 table."""
@@ -241,7 +249,8 @@ class ReferenceDistribution:
 
         cell = self._expect_radial if s.is_zero() else self._expect_vector
         floor = _EPSABS / self._moment_tol
-        return self._fill([integrand(float(h)) for h in h_values], X, cell, self._moment_tol, "moment_k", floor)
+        rows = [integrand(float(h)) for h in h_values]
+        return self._fill(rows, X, cell, self._moment_tol, "moment_k", floor, radial=s.is_zero())
 
     # -- geometry hooks --------------------------------------------------------
 
@@ -278,20 +287,29 @@ class ReferenceDistribution:
             raise ValueError(f"points have shape {X.shape}, expected (m, {self.ambient_dim})")
         return s, values, X
 
-    def _fill(self, rows, X, cell, tol, what, floor=1.0) -> np.ndarray:
+    def _fill(self, rows, X, cell, tol, what, floor=1.0, radial=False) -> np.ndarray:
         """Table whose (i, j) entry is the value of cell(X[j], rows[i]) -> (value, error).
 
         Each error must stay within tol * max(|value|, floor); otherwise
-        QuadratureError is raised.
+        QuadratureError is raised.  A radial cell reads x only through
+        m = float(np.linalg.norm(x)).  On a rotation-invariant distribution
+        such a cell is computed once per distinct m, at the first point that
+        has it, and copied to the other points: the key is the expression the
+        cell evaluates, so every entry keeps the bits of its 1x1 table.
         """
-        out = np.empty((len(rows), X.shape[0]))
+        keys = [float(np.linalg.norm(x)) for x in X] if radial and self._rotation_invariant else range(X.shape[0])
+        first: dict = {}  # key -> its first point
+        for j, key in enumerate(keys):
+            first.setdefault(key, j)
+        out = np.empty((len(rows), len(first)))
         for i, row in enumerate(rows):
-            for j, x in enumerate(X):
-                val, err = cell(x, row)
+            for c, j in enumerate(first.values()):
+                val, err = cell(X[j], row)
                 if err > tol * max(abs(val), floor):
                     raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target", estimate=val, error=err)
-                out[i, j] = val
-        return out
+                out[i, c] = val
+        slot = {key: c for c, key in enumerate(first)}
+        return out[:, [slot[key] for key in keys]]
 
     # exact routes; subclasses return None when none applies
     def _table(self, kernel, s, h_values, X):
@@ -487,6 +505,8 @@ class UnboundedBall(ReferenceDistribution):
     P(B(0, r)) = r^(d - beta) for r <= 1, so the volume dimension is d - beta.
     """
 
+    _rotation_invariant = True
+
     def __init__(self, dim: int, beta: float):
         if dim < 1:
             raise ValueError("dim must be >= 1")
@@ -532,7 +552,8 @@ class UnboundedBall(ReferenceDistribution):
     def _table(self, kernel, s, h_values, X):
         if kernel.form != "gaussian" or self.ambient_dim != 2 or not s.is_zero():
             return None
-        return self._fill([float(h) for h in h_values], X, self._bessel_density, self._density_tol, "smoothed_density")
+        rows = [float(h) for h in h_values]
+        return self._fill(rows, X, self._bessel_density, self._density_tol, "smoothed_density", radial=True)
 
     def _bessel_density(self, x, h) -> tuple[float, float]:
         # the Gaussian averaged over the circle of radius rho is a scaled Bessel I0
@@ -586,6 +607,8 @@ class UnboundedBall(ReferenceDistribution):
 
 class UniformSphere(ReferenceDistribution):
     """Uniform distribution on the sphere of dimension d_M embedded in R^(d_M+1)."""
+
+    _rotation_invariant = True
 
     def __init__(self, manifold_dim: int, radius: float = 1.0):
         if manifold_dim < 1:

@@ -705,6 +705,82 @@ class TestOneTable:
                 assert got[i, j] == pytest.approx(expected, abs=1e-9)
 
 
+# (kind, distribution, point, bandwidths): rotation-invariant kinds, at a point
+# and bandwidths where the Epanechnikov cells certify quickly
+_RADIAL_KINDS = [
+    ("ball", UnboundedBall(2, 1.0), (0.36, 0.48), [0.6]),
+    ("circle", UniformCircle(1.0), (0.8, 0.3), [0.2, 0.6]),
+    ("sphere2", UniformSphere(2), (0.3, 0.5, 0.6), [0.3, 0.6]),
+]
+
+
+def _counting(monkeypatch, cls, name):
+    """Patch cls.name to record the points it is called at; returns the list of points."""
+    real, calls = getattr(cls, name), []
+
+    def counted(self, x, *args):
+        calls.append(tuple(x))
+        return real(self, x, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestRadialCells:
+    """A rotation-invariant kind fills a radial cell once per distance from its centre."""
+
+    @pytest.mark.parametrize("name, dist, x, hs", _RADIAL_KINDS, ids=[c[0] for c in _RADIAL_KINDS])
+    def test_images_are_their_one_by_one_tables(self, name, dist, x, hs):
+        # the point, its swap and its reflection share one distance; the centre is another
+        a, b, *rest = x
+        X = np.array([[a, b, *rest], [b, a, *rest], [-a, b, *rest], [0.0] * len(x)])
+        epan = Kernel.epanechnikov(dist.ambient_dim)
+        tables = [
+            (hs, lambda hs, X: dist.smoothed_density_table(epan, hs, X)),
+            (hs, lambda hs, X: dist.moment_table(epan, None, hs, X, 2.0)),
+            ([0.2, 0.7], dist.ball_prob_table),
+        ]
+        for rows, table_of in tables:
+            table = table_of(rows, X)
+            assert np.all(table[:, 0] > 0.0)
+            for i, v in enumerate(rows):
+                for j, p in enumerate(X):
+                    assert table[i, j] == table_of([v], p[None])[0, 0], (i, v, p)
+
+    def test_one_bessel_cell_per_radius_and_bandwidth(self, monkeypatch):
+        dist = UnboundedBall(2, 1.0)
+        X = make_eval_grid(dist, 40).points
+        calls = _counting(monkeypatch, UnboundedBall, "_bessel_density")
+        hs = [0.1, 0.3]
+        dist.smoothed_density_table(GAUSS2, hs, X)
+        radii = {float(np.linalg.norm(x)) for x in X}
+        assert len(radii) < X.shape[0]
+        assert len(calls) == len(hs) * len(radii)
+        assert {float(np.linalg.norm(x)) for x in calls} == radii
+
+    def test_other_cells_are_not_keyed(self, monkeypatch):
+        # one distance from 0 for every point: each cell is still filled on its own
+        X2 = np.array([[0.3, 0.4], [0.4, 0.3], [-0.3, 0.4]])
+        epan1 = Kernel.epanechnikov(1)
+        cases = [
+            (UniformCube, "_ball_prob_impl", lambda: UniformCube(2).ball_prob_table([0.2], X2), 3),
+            (UniformCube, "_expect_radial", lambda: UniformCube(1).moment_table(epan1, None, [0.2], [[0.3], [-0.3]], 2.0), 2),
+            (
+                Mixture,
+                "_ball_prob_impl",
+                lambda: Mixture([UniformCircle(1.0), UnboundedBall(2, 1.0)], [0.5, 0.5]).ball_prob_table([0.2], X2),
+                3,
+            ),
+            # derivatives read the direction of x - X, not only its length
+            (UniformCircle, "_expect_vector", lambda: UniformCircle(1.0).smoothed_derivative_table(GAUSS2, (1, 0), [0.2], X2), 3),
+        ]
+        for cls, name, fill, cells in cases:
+            with monkeypatch.context() as patch:
+                calls = _counting(patch, cls, name)
+                fill()
+            assert len(calls) == cells, (cls.__name__, name)
+
+
 class TestMixtureWeights:
     def test_single_component_weight_one(self):
         Mixture([UniformCube(1)], [1.0])
