@@ -4,14 +4,19 @@
 # discretization certificate.
 #
 # The multi-bandwidth evaluator has two paths.  The direct loop serves every
-# kernel and derivative order.  Per chunk of evaluation points it computes
-# the squared distances to the sample once; per bandwidth it evaluates the
-# kernel's profile of r^2 into one reused buffer (for the Gaussian, one
-# in-place multiply and one in-place exp) and, for a derivative, reduces it
-# against the Gaussian's Hermite monomials, which depend on the chunk only.
-# Chunks hold about 64 Ki pairwise entries (one evaluation point once
-# n >= 65536), so each per-bandwidth pass reads buffers of a few hundred KiB
-# that stay in cache.
+# kernel and derivative order.  It splits the sample into blocks of at most
+# 8 Ki points and the evaluation points into chunks of about 64 Ki pairwise
+# entries per block (8 points once n >= 8192).  Per chunk and block it writes
+# the coordinate differences and r^2 into preallocated buffers once; per
+# bandwidth it evaluates the kernel's profile of r^2 into one reused buffer
+# (for the Gaussian, one in-place multiply and one in-place exp), so each pass
+# reads buffers of at most 512 KiB that stay in cache.  Each point's sum over
+# the block is added to a running (bandwidth, term, point) total: a row sum
+# for s = 0, and for a derivative one dot product of the row with each of the
+# Gaussian's Hermite monomials.  The Hermite coefficients and 1/(n h^(d+|s|))
+# are applied once to the totals.  A block of 8 Ki keeps every dot product
+# below the 10 000 entries above which OpenBLAS splits one over threads, so
+# the bytes do not depend on the BLAS thread count.
 #
 # The product-lattice path serves the Gaussian in d = 2 when the grid has
 # fewer distinct coordinates than points, sum_j |unique(X[:, j])| < M, as
@@ -53,6 +58,7 @@ __all__ = [
 
 _H_GUARD = 1e-8
 _CHUNK_ENTRIES = 1 << 16  # pairwise entries per chunk: each float64 buffer is 512 KiB
+_SAMPLE_BLOCK = 1 << 13  # sample points per block of the direct loop; see the module header
 _LATTICE_BLOCK = 1 << 12  # sample points per block of the product-lattice path
 
 
@@ -150,9 +156,10 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     """p-hat (or D^s p-hat) on the (bandwidth x point) grid; shape (H, M).
 
     Squared distances, and for a derivative the Hermite monomials of the
-    coordinate differences, are computed once per point chunk and shared
-    across all bandwidths.  A Gaussian table on a 2-D product lattice is
-    factored by coordinate instead (see the module header).
+    coordinate differences, are computed once per chunk of points and block
+    of the sample and shared across all bandwidths.  A Gaussian table on a
+    2-D product lattice is factored by coordinate instead (see the module
+    header).
     """
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
     if h_values.ndim != 1 or not np.all(h_values > 0):
@@ -172,31 +179,45 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     # D^s K = sum_e c_e t^e K with t = (x - X_i) / h; s = 0 is the one term e = 0, c = 1
     terms = _gaussian_deriv_monomials(s.orders)
     cols = np.ascontiguousarray(sample.T)
-    rows = max(1, _CHUNK_ENTRIES // n)
-    buf = np.empty((min(rows, m), n))
-    tmp = None if s.is_zero() else np.empty_like(buf)
-    out = np.empty((h_values.size, m))
+    width = min(n, _SAMPLE_BLOCK)
+    rows = max(1, _CHUNK_ENTRIES // width)
+    # the coordinate differences, r^2 and the profile values of one chunk and block
+    bufs = np.empty((d + 2, min(rows, m) * width))
+    # per bandwidth and term, each point's sum over the sample of profile value times monomial
+    sums = np.zeros((h_values.size, len(terms), m))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        diff = [X[lo:hi, j, None] - cols[j] for j in range(d)]
-        monos = [
-            functools.reduce(np.multiply, [diff[j] ** e for j, e in enumerate(exps) if e]) if any(exps) else None
-            for exps, _ in terms
-        ]
-        r2 = sum(np.square(dj) for dj in diff)
-        del diff
-        r2_max = r2.max()
-        vals = buf[: hi - lo]
-        for i, h in enumerate(h_values):
-            # pairs beyond the negligible radius are evaluated at it; the clamp is
-            # skipped when no pair of the chunk is that far, which changes nothing
-            far = kernel.negligible_r2 * h * h
-            kernel.profile_sq(r2 if r2_max <= far else np.minimum(r2, far, out=vals), h, out=vals)
-            acc = 0.0
-            for (exps, coef), mono in zip(terms, monos):
-                part = vals if mono is None else np.multiply(vals, mono, out=tmp[: hi - lo])
-                acc = acc + coef / h ** sum(exps) * part.sum(axis=1)
-            out[i, lo:hi] = acc / (n * h ** (d + s.order))
+        for c_lo in range(0, n, width):
+            c_hi = min(c_lo + width, n)
+            k, w = hi - lo, c_hi - c_lo
+            *diff, r2, vals = (b[: k * w].reshape(k, w) for b in bufs)
+            for j, dj in enumerate(diff):
+                np.subtract(X[lo:hi, j, None], cols[j, c_lo:c_hi], out=dj)
+            monos = [
+                functools.reduce(np.multiply, [diff[j] ** e for j, e in enumerate(exps) if e]) if any(exps) else None
+                for exps, _ in terms
+            ]
+            np.square(diff[0], out=r2)
+            for dj in diff[1:]:
+                r2 += np.square(dj, out=vals)
+            r2_max = r2.max()
+            for i, h in enumerate(h_values):
+                # pairs beyond the negligible radius are evaluated at it; the clamp is
+                # skipped when no pair of the block is that far, which changes nothing
+                far = kernel.negligible_r2 * h * h
+                kernel.profile_sq(r2 if r2_max <= far else np.minimum(r2, far, out=vals), h, out=vals)
+                for part, mono in zip(sums[i], monos):
+                    if mono is None:
+                        part[lo:hi] += vals.sum(axis=1)
+                    else:
+                        for r in range(k):
+                            part[lo + r] += np.dot(vals[r], mono[r])
+    out = np.empty((h_values.size, m))
+    for i, h in enumerate(h_values):
+        acc = 0.0
+        for (exps, coef), part in zip(terms, sums[i]):
+            acc = acc + coef / h ** sum(exps) * part
+        out[i] = acc / (n * h ** (d + s.order))
     return out
 
 

@@ -156,14 +156,15 @@ class TestGaussianTableVsDirectSums:
         for i in range(len(self.H)):
             assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max(), f"h = {self.H[i]}"
 
-    # n = 3000, m = 50: a chunk holds several rows, and 50 is no multiple of the rows per chunk
+    # n = 3000, below one sample block, and m = 50: a chunk holds several rows,
+    # and 50 is no multiple of the rows per chunk
     @pytest.mark.parametrize("s", [(0,), (0, 0), (1,), (1, 0), (0, 2), (2, 1)])
     def test_several_rows_per_chunk(self, s):
         self._check(3_000, 50, s, seed=sum(s) + 10 * len(s))
 
-    # n >= 65536: one row per chunk
+    # n = 70000: eight whole sample blocks and a shorter last one
     @pytest.mark.parametrize("s", [(0, 0), (1,), (2, 1)])
-    def test_one_row_per_chunk(self, s):
+    def test_several_sample_blocks(self, s):
         self._check(70_000, 5, s, seed=7 + sum(s))
 
     # the rate campaigns' product lattices, special points included, plus one
@@ -195,6 +196,34 @@ class TestGaussianTableVsDirectSums:
     def test_lattice_grid_large_sample(self, name, s):
         m = make_eval_grid(*self.LATTICES[name]).size
         self._check_lattice(name, 70_000, s, cols=np.r_[0:m:7, m])
+
+
+def _direct_compact_table(sample, form, h_values, X):
+    """p-hat by a double loop over (h, x) for the Epanechnikov or the uniform kernel in d = 2."""
+    n = sample.shape[0]
+    out = np.empty((len(h_values), X.shape[0]))
+    for i, h in enumerate(h_values):
+        for j, x in enumerate(X):
+            u2 = ((x - sample) ** 2).sum(axis=1) / (h * h)
+            if form == "epanechnikov":
+                k = 2.0 / math.pi * np.maximum(1.0 - u2, 0.0)
+            else:
+                k = (u2 <= 1.0) / math.pi
+            out[i, j] = k.sum() / (n * h * h)
+    return out
+
+
+# n below one sample block, and over several blocks with a shorter last one
+@pytest.mark.parametrize("n", [3_000, 70_000])
+@pytest.mark.parametrize("form", ["epanechnikov", "uniform"])
+def test_compact_kernel_table_vs_direct_sums(form, n):
+    rng = np.random.default_rng(n)
+    sample, X = rng.random((n, 2)), rng.random((7, 2))
+    h_values = (0.05, 0.2, 0.6)
+    got = kde_table(sample, getattr(Kernel, form)(2), h_values, X)
+    want = _direct_compact_table(sample, form, h_values, X)
+    for i in range(len(h_values)):
+        assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max(), f"h = {h_values[i]}"
 
 
 def _closed_profile(r):
@@ -244,26 +273,38 @@ def test_kde_table_memory_stays_small(dist, size):
 _TABLE_BYTES = """
 import hashlib, sys
 import numpy as np
-from kderates.distributions import UniformCube
+from kderates.distributions import {dist}
 from kderates.kde import kde_table, make_eval_grid
 from kderates.kernels import Kernel
-dist = UniformCube(2)
-sample, X = dist.sample(20_000, seed=23), make_eval_grid(dist, 225).points
+dist = {dist}({arg})
+sample, X = dist.sample(20_000, seed=23), make_eval_grid(dist, {size}).points
 h = np.geomspace(0.05, 0.4, 6)
 tables = [kde_table(sample, Kernel.gaussian(2), h, X, s=s) for s in ((0, 0), (1, 1))]
 sys.stdout.write(hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest())
 """
 
 
-def test_lattice_table_bytes_independent_of_blas_threads():
-    # serial and parallel runs must give the same bytes, whatever BLAS thread count a process gets
+def _table_digests(script):
+    """The script's output under one and under two OpenBLAS threads."""
     src = str(Path(kderates.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", _TABLE_BYTES], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
+    return digests
+
+
+# serial and parallel runs must give the same bytes, whatever BLAS thread count a process gets
+def test_lattice_table_bytes_independent_of_blas_threads():
+    digests = _table_digests(_TABLE_BYTES.format(dist="UniformCube", arg=2, size=225))
+    assert digests[0] == digests[1]
+
+
+# the circle's grid takes the direct loop, whose derivative rows are dot products
+def test_direct_table_bytes_independent_of_blas_threads():
+    digests = _table_digests(_TABLE_BYTES.format(dist="UniformCircle", arg=1.0, size=128))
     assert digests[0] == digests[1]
 
 
