@@ -616,9 +616,9 @@ _GOLDEN_SHA256 = {
         "summary.csv": "cef008439a24267e69ccd6189437b7509adf25d22f9756bdb424383ab8bd66b7",
     },
     "ball_s01": {
-        "replicates.csv": "92a9641a8429467b46e96d48b57ce7f185aba2c401459b02c754cf7ffdb9db61",
-        "report.json": "11bc67a6f250ae938c0ef41b56de4bedd490ec019690d71fc67be72af4256ea8",
-        "summary.csv": "cd243b0b7de77b4ce99c7aa308f28f2c24aaa0857391f2e4310dbfbb764083fb",
+        "replicates.csv": "7d60096b7c59026a26894249f418e3263520d846e08a84d91ec7641e50844c72",
+        "report.json": "093007f32dd821dd92ccf6839c9467c51527066d9b535afe4dbc13f691914420",
+        "summary.csv": "22055b0ee4572106acde5edff96edfb63d6d9f36f2ea97063087bc1ff922f7e3",
     },
     "bounds_sigma2": {
         "bounds.json": "5cbfa4892caf49d25bfb1ad7cb2a88ff2deaa5c7a3fcfdf74f8f7a9056f9c0eb",
@@ -641,9 +641,9 @@ _GOLDEN_SHA256 = {
         "summary.csv": "f6e417ecb94b1558af572d08cbd67c1277e910a79d93cd00470ebf88ed9f7b8c",
     },
     "cube1_s1": {
-        "replicates.csv": "1a4cd48d715ac38ced8813f2f5cb59d4ac8ebb985563fa85c6fee5fc26e397c1",
-        "report.json": "9fc7b3067a4a387855c267aaf9239f08497240302fedba1b15e8f02bfa967088",
-        "summary.csv": "442806e93ed1d02f8706b7668e0797806f19f5ea82d698da00289814fba7c0b6",
+        "replicates.csv": "fe17ea2bb6001a3930d32b32653a7cea9b13353f8b7d004e70693063db0cd1f3",
+        "report.json": "af89bfd9e231cee7d7431d77e922509c1a8f3d0186bd940ea42d165767f0a2c9",
+        "summary.csv": "32a49a2a41cc6354aa0745705cdde7a989ede68433bcedca5dee40e676e33262",
     },
     "cube2": {
         "replicates.csv": "1fc082a251082fe50b5dd5fa35f38efcbde9b7f6c8010859b39b43541550f03a",
