@@ -3,7 +3,8 @@
 # names, plus fit; every one takes --config PATH and --out DIR, and every
 # one but fit takes --seed N (which overrides the config's base_seed).
 # Exit code 0 on success, 2 on failure with a machine-readable JSON error
-# summary on stderr.
+# summary on stderr.  simulate exits 1 when replicates failed (they are
+# listed in the report's failures) unless --allow-failures is given.
 
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--statistic", default=None, choices=["mean", "median"])
         else:
             p.add_argument("--seed", type=int, default=None, help="override base_seed")
+        if name == "simulate":
+            p.add_argument("--allow-failures", action="store_true", help="exit 0 even when replicates failed")
     return parser
 
 
@@ -69,7 +72,9 @@ def main(argv=None) -> int:
         failures = getattr(report, "failures", None)
         print(f"{args.command}: wrote artifacts to {out_dir}")
         if failures:
-            print(f"{len(failures)} cell failure(s) recorded in the report", file=sys.stderr)
+            print(f"{len(failures)} replicate failure(s) recorded in the report", file=sys.stderr)
+            if not args.allow_failures:
+                return 1
         return 0
     except Exception as exc:
         summary = {"error": str(exc), "type": type(exc).__name__, "command": args.command}

@@ -424,6 +424,24 @@ class TestCli:
         assert (out / "fit_h.json").exists()
         assert (out / "plot_h.csv").exists()
 
+    def test_failed_replicates_exit_1(self, tmp_path, monkeypatch, capsys):
+        real_sample = UniformCube.sample
+
+        def sample(self, n, seed):
+            if seed == 13:  # replicate 1
+                raise RuntimeError("stub failure")
+            return real_sample(self, n, seed)
+
+        monkeypatch.setattr(UniformCube, "sample", sample)
+        monkeypatch.setenv("KDERATES_WORKERS", "1")
+        cfg = self.write_cfg(tmp_path)
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+        assert "1 replicate failure(s)" in capsys.readouterr().err
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b"), "--allow-failures"]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["failures"] == ["n=500 replicate=1: stub failure"]
+        assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
     def test_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KDERATES_WORKERS", "1")
         cfg = self.write_cfg(tmp_path)
