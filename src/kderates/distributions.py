@@ -210,9 +210,8 @@ class ReferenceDistribution:
 
         what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
         cell = self._expect_radial if s.is_zero() else self._expect_vector
-        return self._fill(
-            [integrand(float(h)) for h in h_values], X, cell, self._density_tol, what, radial=s.is_zero()
-        )
+        rows = [integrand(float(h)) for h in h_values]
+        return self._fill(rows, X, cell, self._density_tol, what, radial=s.is_zero())
 
     def moment_k(self, kernel: Kernel, x, h: float, k: float, s=None) -> float:
         """E[ |D^s K((x - X)/h)|^k ], as the 1x1 table."""
