@@ -1,7 +1,7 @@
 # kernels.py
-# Kernel functions on R^d, their partial derivatives, and the scalar
-# functionals (sup norms, tail suprema, tail integrals) consumed by the
-# bound expressions.
+# Kernel functions on R^d, their partial derivatives, and the constants
+# (sup norms, tail suprema, Lipschitz constants) consumed by the bound
+# expressions.
 #
 # Conventions:
 #   All built-in kernels are radial: K(x) = profile(||x||) with profile
@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy import integrate
 
 __all__ = [
     "Kernel",
@@ -135,13 +134,10 @@ def _phi_deriv(k: int, t: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _herme_roots(k: int) -> tuple[float, ...]:
-    """Roots of He_k; the critical points of |He_{k-1}| * phi away from its zeros."""
-    if k == 0:
-        return ()
-    nodes, _ = hermite_e.hermegauss(k)
-    return tuple(float(v) for v in nodes)
-
+def _phi_deriv_max(k: int) -> float:
+    """max |phi^(k)|, taken over the roots of He_{k+1}, where phi^(k+1) = (-1)^(k+1) He_{k+1} phi vanishes."""
+    roots, _ = hermite_e.hermegauss(k + 1)
+    return float(np.max(np.abs(_phi_deriv(k, roots))))
 
 class Kernel:
     """A bounded kernel on R^d with sup norm, Lipschitz constant and tail profile.
@@ -336,187 +332,40 @@ class Kernel:
             raise ValueError(f"derivative order |s|={s.order} unsupported by the {self.form} kernel")
         return s
 
-    # -- tail suprema -------------------------------------------------------
+    # -- sup norms, tail suprema and Lipschitz constants -------------------
 
-    def tail_sup(self, t: float, s=None) -> float:
-        """sup over ||x|| >= t of |D^s K(x)|; s = 0 gives the kernel case.
-
-        Exact for s = 0 (radial profiles are nonincreasing).  For Gaussian
-        derivatives the supremum is located from the Hermite critical
-        points plus a boundary-sphere search.
-        """
+    def tail_sup(self, t: float) -> float:
+        """sup over ||x|| >= t of |K(x)|: the profile at t, since it is nonincreasing."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        s = self.derivative_index(s)
-        if s.is_zero():
-            return self.radial(float(t))
-        return _gaussian_deriv_shell_sup(s.orders, float(t))
+        return self.radial(float(t))
 
     def deriv_sup_norm(self, s=None) -> float:
-        """||D^s K||_inf."""
-        return self.tail_sup(0.0, s)
+        """||D^s K||_inf, exact.
+
+        For s != 0 (the Gaussian) D^s K(x) = prod_i phi^(s_i)(x_i), so the
+        sup is the product of the 1-D maxima.
+        """
+        s = self.derivative_index(s)
+        if s.is_zero():
+            return self.tail_sup(0.0)
+        return math.prod(_phi_deriv_max(k) for k in s.orders)
 
     def deriv_lipschitz(self, s=None) -> float | None:
-        """Global Lipschitz constant of D^s K (numeric for s != 0)."""
+        """An upper bound on sup_x ||grad D^s K(x)||_2, the Lipschitz constant of D^s K.
+
+        For s = 0 this is the form's own constant (None for the uniform
+        kernel).  For s != 0 (the Gaussian) the j-th partial of D^s K is
+        prod_i phi^(s_i + [i = j])(x_i), bounded by the product of the 1-D
+        maxima; the bound is the 2-norm of those d products.  It is exact in
+        d = 1 and at most sqrt(d) times the supremum, since each product is
+        attained.
+        """
         s = self.derivative_index(s)
         if s.is_zero():
             return self.lipschitz
-        return _gaussian_deriv_lipschitz(s.orders)
-
-    # -- integrability functional --------------------------------------------
-
-    def integrability_integral(self, d_vol: float, k: float, s=None) -> float:
-        """Tail integral int_0^inf t^(d_vol-1) sup_{||x||>=t} |D^s K(x)|^k dt.
-
-        Computed by adaptive quadrature after the substitution u = t^d_vol
-        (which removes the endpoint singularity for d_vol < 1), with the
-        truncation point certified against the tail profile.
-        """
-        if d_vol <= 0:
-            raise ValueError("d_vol must be positive")
-        if k <= 0:
-            raise ValueError("k must be positive")
-        s = self.derivative_index(s)
-
-        def tail(t):
-            return self.tail_sup(t, s)
-
-        if self.support_radius is not None and s.is_zero():
-            T = self.support_radius
-        else:
-            T = 1.0
-            while tail(T) ** k * T ** d_vol >= 1e-12:
-                T *= 2.0
-                if T > 2.0 ** 40:
-                    raise QuadratureError("tail does not decay; integral diverges")
-
-        # u = t^d_vol: integral = (1/d_vol) * int_0^{T^d_vol} tail(u^(1/d_vol))^k du
-        def g(u):
-            return tail(u ** (1.0 / d_vol)) ** k
-
-        main, main_err = integrate.quad(g, 0.0, T ** d_vol, limit=200, epsabs=0.0, epsrel=1e-10)
-        if self.support_radius is not None and s.is_zero():
-            rest, rest_err = 0.0, 0.0
-        else:
-            rest, rest_err = integrate.quad(g, T ** d_vol, np.inf, limit=200)
-        total = (main + rest) / d_vol
-        err = (main_err + rest_err) / d_vol
-        if not math.isfinite(total):
-            raise QuadratureError("integral diverges", estimate=total, error=err)
-        if total > 0 and err / total > 1e-8:
-            raise QuadratureError(
-                f"quadrature only certified relative error {err / total:.2e}",
-                estimate=total,
-                error=err,
-            )
-        return total
-
-
-# -- Gaussian derivative shell suprema ----------------------------------------
-
-
-def _gaussian_deriv_abs(orders: tuple[int, ...], X: np.ndarray) -> np.ndarray:
-    """|D^s K| for the (2pi)^{-d/2}-normalized Gaussian, rows of X."""
-    X = np.asarray(X, dtype=float)
-    out = np.ones(X.shape[:-1])
-    for i, k in enumerate(orders):
-        out = out * np.abs(_phi_deriv(k, X[..., i]))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _gaussian_crit_products(orders: tuple[int, ...]) -> np.ndarray:
-    """Interior critical points of |D^s K|: per-coordinate He_{s_i+1} roots."""
-    axes = [np.asarray(_herme_roots(k + 1)) for k in orders]
-    pts = np.array(list(_iterproduct(*axes)))
-    return pts.reshape(-1, len(orders))
-
-
-def _sphere_max(orders: tuple[int, ...], t: float) -> float:
-    """max of |D^s K| over the sphere ||x|| = t (coordinatewise-even objective)."""
-    d = len(orders)
-    if t == 0.0:
-        return float(_gaussian_deriv_abs(orders, np.zeros((1, d)))[0])
-    if d == 1:
-        return float(_gaussian_deriv_abs(orders, np.array([[t]]))[0])
-    if d == 2:
-        alpha = np.linspace(0.0, math.pi / 2.0, 2049)
-        X = t * np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
-        vals = _gaussian_deriv_abs(orders, X)
-        j = int(np.argmax(vals))
-        lo = alpha[max(j - 1, 0)]
-        hi = alpha[min(j + 1, alpha.size - 1)]
-        fine = np.linspace(lo, hi, 513)
-        Xf = t * np.stack([np.cos(fine), np.sin(fine)], axis=-1)
-        return float(np.max(_gaussian_deriv_abs(orders, Xf)))
-    # d >= 3: random directions (fixed stream) plus local refinement.
-    rng = np.random.Generator(np.random.Philox(key=0))
-    Z = np.abs(rng.standard_normal((4096, d)))
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    vals = _gaussian_deriv_abs(orders, t * Z)
-    best = Z[int(np.argmax(vals))]
-    for scale in (0.3, 0.1, 0.03, 0.01):
-        W = best + scale * rng.standard_normal((512, d))
-        W = np.abs(W)
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
-        W = np.vstack([W, best])
-        v = _gaussian_deriv_abs(orders, t * W)
-        best = W[int(np.argmax(v))]
-    return float(_gaussian_deriv_abs(orders, t * best[None, :])[0])
-
-
-def _gaussian_deriv_shell_sup(orders: tuple[int, ...], t: float) -> float:
-    crit = _gaussian_crit_products(orders)
-    best = 0.0
-    if crit.size:
-        norms = np.linalg.norm(crit, axis=1)
-        keep = crit[norms >= t]
-        if keep.shape[0]:
-            best = float(np.max(_gaussian_deriv_abs(orders, keep)))
-    if t > 0.0:
-        best = max(best, _sphere_max(orders, t))
-    else:
-        best = max(best, float(_gaussian_deriv_abs(orders, np.zeros((1, len(orders))))[0]))
-    return best
-
-
-@lru_cache(maxsize=None)
-def _gaussian_deriv_lipschitz(orders: tuple[int, ...]) -> float:
-    """sup_x ||grad D^s K(x)||_2 by dense grid search with refinement."""
-    d = len(orders)
-    kmax = max(orders)
-    L = max(abs(r) for r in _herme_roots(kmax + 2)) + 4.0 if kmax + 2 > 0 else 6.0
-
-    grads = []
-    for j in range(d):
-        bumped = tuple(k + (1 if i == j else 0) for i, k in enumerate(orders))
-        grads.append(bumped)
-
-    def grad_norm(X):
-        acc = np.zeros(X.shape[:-1])
-        for g in grads:
-            acc += np.square(_gaussian_deriv_abs(g, X))
-        return np.sqrt(acc)
-
-    n = {1: 200001, 2: 1201, 3: 101}.get(d, 41)
-    axes = [np.linspace(0.0, L, n)] * d  # even in every coordinate
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    vals = grad_norm(mesh)
-    best_idx = int(np.argmax(vals))
-    best_pt = mesh[best_idx]
-    best = float(vals[best_idx])
-    step = L / (n - 1)
-    for _ in range(3):
-        step /= 8.0
-        local = [np.linspace(max(0.0, c - 8 * step), c + 8 * step, 17) for c in best_pt]
-        mesh = np.stack(np.meshgrid(*local, indexing="ij"), axis=-1).reshape(-1, d)
-        vals = grad_norm(mesh)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_pt = mesh[j]
-    return best
-
+        o = s.orders
+        return math.hypot(*(math.prod(_phi_deriv_max(k + (i == j)) for i, k in enumerate(o)) for j in range(len(o))))
 
 _FORMS = {
     "gaussian": Kernel.gaussian,

@@ -486,7 +486,7 @@ _DERIVATIVE_ENTRY_POINTS = {
     "smoothed_derivative_table": lambda s: UniformCube(2).smoothed_derivative_table(_EPAN2, s, [0.3], np.zeros((1, 2))),
     "moment_table": lambda s: UniformCube(2).moment_table(_EPAN2, s, [0.3], np.zeros((1, 2)), 2.0),
     "deriv_eval_many": lambda s: _EPAN2.deriv_eval_many(s, np.zeros((1, 2))),
-    "tail_sup": lambda s: _EPAN2.tail_sup(0.5, s),
+    "deriv_sup_norm": lambda s: _EPAN2.deriv_sup_norm(s),
     "ExperimentConfig.from_dict": lambda s: ExperimentConfig.from_dict(
         {
             "mode": "moment_scaling",

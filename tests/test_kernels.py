@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kderates.kernels import Kernel, MultiIndex, QuadratureError, kernel_from_config
+from kderates.kernels import Kernel, MultiIndex, kernel_from_config
 
 
 def epanechnikov_1d_direct(u):
@@ -168,29 +168,6 @@ class TestTailSup:
                 if mask.any():
                     assert vals[mask].max() <= k.tail_sup(t) + 1e-12
 
-    def test_gaussian_derivative_tail_d1(self):
-        # oracle: dense 1-D grid maximization of |phi'(u)| on |u| >= t
-        k = Kernel.gaussian(1)
-        grid = np.linspace(0.0, 10.0, 400_001)
-        phi = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
-        dphi = np.abs(-grid * phi)
-        for t in (0.0, 0.5, 1.5, 3.0):
-            oracle = dphi[grid >= t].max()
-            assert k.tail_sup(t, (1,)) == pytest.approx(oracle, abs=1e-8)
-
-    def test_gaussian_derivative_tail_d2(self):
-        # oracle: grid search over the shell for D^(1,0) K
-        k = Kernel.gaussian(2)
-        t = 0.8
-        xs = np.linspace(-5, 5, 1201)
-        X, Y = np.meshgrid(xs, xs)
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        keep = np.linalg.norm(pts, axis=1) >= t
-        vals = np.abs(k.deriv_eval_many((1, 0), pts[keep]))
-        oracle = float(vals.max())
-        assert k.tail_sup(t, (1, 0)) >= oracle - 1e-9
-        assert k.tail_sup(t, (1, 0)) == pytest.approx(oracle, abs=1e-4)
-
 
 class TestLipschitz:
     @pytest.mark.parametrize("make", [Kernel.gaussian, Kernel.epanechnikov, Kernel.triangular])
@@ -207,44 +184,77 @@ class TestLipschitz:
         assert Kernel.uniform(2).lipschitz is None
 
 
-class TestIntegrability:
-    def test_uniform_piecewise_constant(self):
-        k = Kernel.uniform(1)
-        val = k.integrability_integral(d_vol=1.0, k=2.0)
-        assert val == pytest.approx(k.sup_norm**2, rel=1e-10)
+# (||D^s K||_inf, Lip(D^s K)) of the Gaussian as float.hex, recorded when the
+# Lipschitz constant was a grid maximum: the sup norm keeps its bits, and the
+# certified Lipschitz bound may only rise above the old grid value.
+_GRID_ERA_CONSTANTS = {
+    (1,): ("0x1.ef8e58e331738p-3", "0x1.9884533d43651p-2"),
+    (2,): ("0x1.9884533d43651p-2", "0x1.19e6a638766f1p-1"),
+    (3,): ("0x1.19e6a638766f2p-1", "0x1.32633e6df28bdp+0"),
+    (0, 1): ("0x1.8b658218d5142p-4", "0x1.45f306dc9c883p-3"),
+    (0, 2): ("0x1.45f306dc9c883p-3", "0x1.c1d94f80efd6dp-3"),
+    (0, 3): ("0x1.c1d94f80efeecp-3", "0x1.e8ec8a4aeacc5p-2"),
+    (1, 0): ("0x1.8b658218d5142p-4", "0x1.45f306dc9c883p-3"),
+    (1, 1): ("0x1.dfa3e572aa124p-5", "0x1.8b658218cd1f4p-4"),
+    (1, 2): ("0x1.8b658218d5142p-4", "0x1.45f306dc9c883p-3"),
+    (2, 0): ("0x1.45f306dc9c883p-3", "0x1.c1d94f80efd6dp-3"),
+    (2, 1): ("0x1.8b658218d5142p-4", "0x1.45f306dc9c883p-3"),
+    (3, 0): ("0x1.c1d94f80efeecp-3", "0x1.e8ec8a4aeacc5p-2"),
+    (0, 0, 1): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (0, 0, 2): ("0x1.0411e71d7795ap-4", "0x1.66ed6e7e99b4bp-4"),
+    (0, 0, 3): ("0x1.66ed6e83cc6e3p-4", "0x1.861adaac33607p-3"),
+    (0, 1, 0): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (0, 1, 1): ("0x1.7eb29112fcf1fp-6", "0x1.3b7b141c10d11p-5"),
+    (0, 1, 2): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (0, 2, 0): ("0x1.0411e71d7795ap-4", "0x1.66ed6e7e99b4cp-4"),
+    (0, 2, 1): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (0, 3, 0): ("0x1.66ed6e83cc6e3p-4", "0x1.861adaac33607p-3"),
+    (1, 0, 0): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (1, 0, 1): ("0x1.7eb29112fcf1fp-6", "0x1.3b7b141c10d11p-5"),
+    (1, 0, 2): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (1, 1, 0): ("0x1.7eb29112fcf1fp-6", "0x1.3b7b141c10d11p-5"),
+    (1, 1, 1): ("0x1.d03c4e0dff272p-7", "0x1.7eb2910a6cabap-6"),
+    (1, 2, 0): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (2, 0, 0): ("0x1.0411e71d7795ap-4", "0x1.66ed6e7e99b4cp-4"),
+    (2, 0, 1): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (2, 1, 0): ("0x1.3b7b141f986ddp-5", "0x1.0411e71d7795ap-4"),
+    (3, 0, 0): ("0x1.66ed6e83cc6e3p-4", "0x1.861adaac33607p-3"),
+}
 
-    def test_gaussian_trapezoid_oracle(self):
-        k = Kernel.gaussian(1)
-        val = k.integrability_integral(d_vol=1.0, k=2.0)
-        t = np.linspace(0, 40, 4_000_001)
-        integrand = k.profile(t) ** 2  # t^{d_vol-1} = 1
-        oracle = np.trapezoid(integrand, t)
-        assert val == pytest.approx(oracle, rel=1e-6)
 
-    def test_monotone_in_k(self):
-        k = Kernel.gaussian(2)
-        v1 = k.integrability_integral(d_vol=2.0, k=1.0)
-        v2 = k.integrability_integral(d_vol=2.0, k=2.0)
-        assert math.isfinite(v1) and math.isfinite(v2)
-        assert v2 < v1  # ||K||_inf <= 1 so higher powers shrink the tail
+def _grad_norm_grid_max(kernel, s, n):
+    """max of ||grad D^s K|| on an n^d grid over [-4.5, 4.5]^d, from the partials D^(s + e_j) K."""
+    axis = np.linspace(-4.5, 4.5, n)
+    X = np.stack(np.meshgrid(*[axis] * kernel.dim, indexing="ij"), axis=-1).reshape(-1, kernel.dim)
+    sq = sum(kernel.deriv_eval_many(tuple(k + (i == j) for i, k in enumerate(s)), X) ** 2 for j in range(kernel.dim))
+    return float(np.sqrt(sq).max())
 
-    @pytest.mark.parametrize("make,d", [(Kernel.gaussian, 2), (Kernel.epanechnikov, 2), (Kernel.uniform, 2), (Kernel.triangular, 2)])
-    def test_finite_for_builtins(self, make, d):
-        kern = make(d)
-        for d_vol in (0.5, 1.0, d):
-            for kk in (1.0, 2.0):
-                assert math.isfinite(kern.integrability_integral(d_vol, kk))
 
-    def test_gaussian_derivative_integrable(self):
-        k = Kernel.gaussian(1)
-        assert math.isfinite(k.integrability_integral(1.0, 2.0, s=(1,)))
-        k2 = Kernel.gaussian(2)
-        assert math.isfinite(k2.integrability_integral(1.5, 2.0, s=(1, 0)))
+class TestGaussianDerivativeConstants:
+    @pytest.mark.parametrize("s", sorted(_GRID_ERA_CONSTANTS), ids=str)
+    def test_sup_norm_keeps_its_bits(self, s):
+        assert Kernel.gaussian(len(s)).deriv_sup_norm(s).hex() == _GRID_ERA_CONSTANTS[s][0]
 
-    def test_divergent_profile_reported(self):
-        heavy = Kernel.custom_radial(1, lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)) ** 0.25)
-        with pytest.raises(QuadratureError):
-            heavy.integrability_integral(d_vol=1.0, k=2.0)
+    @pytest.mark.parametrize("s", sorted(_GRID_ERA_CONSTANTS), ids=str)
+    def test_lipschitz_bounds_dense_grid_and_old_value(self, s):
+        k = Kernel.gaussian(len(s))
+        lip = k.deriv_lipschitz(s)
+        assert lip >= _grad_norm_grid_max(k, s, {1: 90001, 2: 901, 3: 91}[k.dim])
+        assert lip >= float.fromhex(_GRID_ERA_CONSTANTS[s][1])
+
+    @pytest.mark.parametrize("s", [(1,), (3,)])
+    def test_lipschitz_keeps_its_bits_in_1d(self, s):
+        assert Kernel.gaussian(1).deriv_lipschitz(s).hex() == _GRID_ERA_CONSTANTS[s][1]
+
+    def test_closed_form_4d(self):
+        # s = (1, 1, 0, 0): max|phi| = phi(0), max|phi'| = phi(1) = phi(0) e^(-1/2),
+        # max|phi''| = phi(0) (at t = 0), so the partials are bounded by
+        # phi(0)^4 e^(-1/2) in x_1, x_2 and phi(0)^4 e^(-3/2) in x_3, x_4
+        k = Kernel.gaussian(4)
+        phi0_4 = (2 * math.pi) ** -2
+        assert k.deriv_sup_norm((1, 1, 0, 0)) == pytest.approx(phi0_4 * math.exp(-1.0), rel=1e-14)
+        expected = phi0_4 * math.sqrt(2.0 * math.exp(-1.0) + 2.0 * math.exp(-3.0))
+        assert k.deriv_lipschitz((1, 1, 0, 0)) == pytest.approx(expected, rel=1e-14)
 
 
 class TestMultiIndex:
