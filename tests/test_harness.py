@@ -635,8 +635,8 @@ _GOLDEN_SHA256 = {
     },
     "ball_s01": {
         "replicates.csv": "7d60096b7c59026a26894249f418e3263520d846e08a84d91ec7641e50844c72",
-        "report.json": "093007f32dd821dd92ccf6839c9467c51527066d9b535afe4dbc13f691914420",
-        "summary.csv": "22055b0ee4572106acde5edff96edfb63d6d9f36f2ea97063087bc1ff922f7e3",
+        "report.json": "1525544e393f32f9b5a2a3116866710adf8a7e3d2b0c94f2fec8dbc79bb799d7",
+        "summary.csv": "c57ea9ee748f9c05da51f93c0b000c27a652e222f8caa7024588ec6560175586",
     },
     "bounds_sigma2": {
         "bounds.json": "5cbfa4892caf49d25bfb1ad7cb2a88ff2deaa5c7a3fcfdf74f8f7a9056f9c0eb",
