@@ -125,8 +125,8 @@ class ExperimentConfig:
         return kernel_from_config(self._section("kernel"))
 
     def sample_sizes(self) -> list[int]:
-        if not self.n_list:
-            raise ValueError("n_list must be nonempty")
+        if not self.n_list or min(self.n_list) < 1:
+            raise ValueError(f"n_list must be a nonempty list of positive sample sizes, got {self.n_list}")
         return self.n_list
 
     def derivative(self) -> MultiIndex:
@@ -142,9 +142,14 @@ class ExperimentConfig:
         per_decade = int(g.get("points_per_decade", 16))
         return BandwidthGrid.log_spaced(l_n, h_max, None if n_points is None else int(n_points), per_decade)
 
+    def grid_target_size(self) -> int:
+        size = int(self.raw.get("x_grid", {}).get("target_size", 256))
+        if size < 1:
+            raise ValueError(f"x_grid.target_size must be a positive integer, got {size}")
+        return size
+
     def eval_grid(self, dist: ReferenceDistribution) -> EvalGrid:
-        g = self.raw.get("x_grid", {})
-        return make_eval_grid(dist, int(g.get("target_size", 256)))
+        return make_eval_grid(dist, self.grid_target_size())
 
     def normalized(self) -> dict:
         out = {k: v for k, v in self.raw.items() if k != "out_dir"}
@@ -604,14 +609,21 @@ class Mode:
 
 
 # derivative() builds the kernel it checks the order against
-_KDE_PARTS = (ExperimentConfig.distribution, ExperimentConfig.derivative, ExperimentConfig.bandwidth_grid)
+_KDE_PARTS = (
+    ExperimentConfig.distribution,
+    ExperimentConfig.derivative,
+    ExperimentConfig.bandwidth_grid,
+    ExperimentConfig.grid_target_size,
+)
 _CAMPAIGN_PARTS = (*_KDE_PARTS, ExperimentConfig.sample_sizes)
 
 MODES = {
     "rate_in_h": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
     "rate_in_n": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
     "moment_scaling": Mode("moments", _KDE_PARTS, _run_moments),
-    "voldim": Mode("voldim", (ExperimentConfig.distribution, ExperimentConfig.voldim_sources), _run_voldim),
+    "voldim": Mode(
+        "voldim", (ExperimentConfig.distribution, ExperimentConfig.grid_target_size, ExperimentConfig.voldim_sources), _run_voldim
+    ),
     "bounds": Mode("bounds", (ExperimentConfig.bound_spec,), _run_bounds),
     "covering": Mode("covering", (ExperimentConfig.covering_spec,), _run_covering),
 }

@@ -110,8 +110,8 @@ class BandwidthGrid:
 
     @classmethod
     def log_spaced(cls, l_n: float, h_max: float, n_points: int | None = None, points_per_decade: int = 16) -> "BandwidthGrid":
-        if l_n <= 0 or h_max < l_n:
-            raise ValueError("need 0 < l_n <= h_max")
+        if not 0 < l_n <= h_max < math.inf:
+            raise ValueError(f"need 0 < l_n <= h_max < inf, got l_n={l_n}, h_max={h_max}")
         if n_points is None:
             decades = math.log10(h_max / l_n) if h_max > l_n else 0.0
             n_points = max(1, int(math.ceil(decades * points_per_decade)) + 1)

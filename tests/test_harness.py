@@ -127,6 +127,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown .*'{key}'"):
             ExperimentConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"h_grid": {**_RATE_CFG["h_grid"], "l_n": math.nan}}, "l_n=nan"),
+            ({"h_grid": {**_RATE_CFG["h_grid"], "h_max": math.inf}}, "h_max=inf"),
+            ({"x_grid": {"target_size": -4}}, "target_size must be a positive integer"),
+            ({"n_list": [0]}, "positive sample sizes"),
+        ],
+        ids=["h_grid.l_n_nan", "h_grid.h_max_inf", "x_grid.target_size_negative", "n_list_zero"],
+    )
+    def test_bad_value_rejected_before_run(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**_RATE_CFG, **overrides})
+
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_readme_config_schema_validates(self, mode):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
