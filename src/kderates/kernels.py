@@ -135,9 +135,11 @@ def _phi_deriv(k: int, t: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _phi_deriv_max(k: int) -> float:
-    """max |phi^(k)|, taken over the roots of He_{k+1}, where phi^(k+1) = (-1)^(k+1) He_{k+1} phi vanishes."""
+    """max |phi^(k)|, taken over the roots of He_{k+1}: the zeros of
+    phi^(k+1) = (-1)^(k+1) He_{k+1} phi, and phi^(k) vanishes at infinity."""
     roots, _ = hermite_e.hermegauss(k + 1)
     return float(np.max(np.abs(_phi_deriv(k, roots))))
+
 
 class Kernel:
     """A bounded kernel on R^d with sup norm, Lipschitz constant and tail profile.
@@ -259,7 +261,9 @@ class Kernel:
 
         The profile is probed on a grid to validate monotonicity and read
         off the sup norm; a Lipschitz constant, if not given, is estimated
-        from finite differences on the same grid.
+        from finite differences on the same grid.  That estimate is not a
+        bound (a steeper stretch between grid points goes unseen), so a
+        discretization_bound built on it is not certified either.
         """
         grid = np.linspace(0.0, support_radius if support_radius else 50.0, 20001)
         vals = np.asarray(profile(grid), dtype=float)
@@ -365,7 +369,8 @@ class Kernel:
         if s.is_zero():
             return self.lipschitz
         o = s.orders
-        return math.hypot(*(math.prod(_phi_deriv_max(k + (i == j)) for i, k in enumerate(o)) for j in range(len(o))))
+        partials = [math.prod(_phi_deriv_max(k + (i == j)) for i, k in enumerate(o)) for j in range(len(o))]
+        return math.hypot(*partials)
 
 _FORMS = {
     "gaussian": Kernel.gaussian,
