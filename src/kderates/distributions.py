@@ -12,24 +12,21 @@
 #   ball_prob_table(radii, X)                           P(B(x, r)), open ball
 # All three share one input check, and every pointwise entry point
 # (smoothed_density, smoothed_derivative, moment_k, ball_prob) is the 1x1
-# table.  A distribution offers exact routes through two hooks, each
-# returning None where it has none:
-#   _table          point masses (finite sums over the atoms), cube + Gaussian
-#                   (products of 1-D normal CDF or density-derivative
-#                   differences), circle + Gaussian (p_h via the scaled Bessel
-#                   I0), ball + Gaussian (p_h in 2-D as a certified 1-D
-#                   quadrature of the Bessel I0 form over the radius), and
-#                   mixtures (the weighted sum of the component tables)
+# table.  Exact routes come from two hooks, each None where there is none:
+#   _table          the Gaussian, the one kernel with derivatives, on every
+#                   kind: sums over point masses, products of 1-D normal CDF
+#                   or density-derivative differences on the cube, one
+#                   closed form in Bessel functions per sphere (_gauss_sphere)
+#                   pushed forward over the radius on the sphere and the ball,
+#                   and the weighted sum of the component tables on mixtures
 #   _moment_table   point masses, cube + Gaussian derivatives (products of
 #                   1-D quadratures), and mixtures (the same weighted sum)
 # A Gaussian moment with s = 0 is a rescaled p_h table.  Every other cell is
-# filled by one certified per-cell routine over low-dimensional quadrature on
-# the manifold or radial parameter; the sphere and the ball share one
-# sphere-average quadrature.  Ball probabilities are closed form, except off
-# the ball's centre and on the cube in d >= 3, where one quadrature is left.
-# On the ball and the sphere a radial cell (an s = 0 quadrature, a ball
-# probability, the ball's Bessel p_h) reads x only through ||x||, so each
-# row computes it once per distinct norm and copies it to the other points.
+# one certified quadrature over the distance, or over the polar angle and
+# the radius, except an s != 0 moment on a sphere or ball: a vector
+# quadrature.  Ball probabilities are closed form, except off the ball's
+# centre and on the cube in d >= 3.  On the ball and the sphere an s = 0 cell
+# reads x only through ||x||, so each row computes it once per distinct norm.
 #
 # The scalar quadrature callbacks take and return Python floats: a radial
 # integrand is a float function of the distance, built on Kernel.radial,
@@ -41,13 +38,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partialmethod
 from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy.special import betainc, ive, ndtr
 
-from .kernels import Kernel, MultiIndex, QuadratureError, _phi_deriv, unit_ball_volume
+from .kernels import Kernel, MultiIndex, QuadratureError, _gaussian_deriv_monomials, _phi_deriv, unit_ball_volume
 
 __all__ = [
     "ReferenceDistribution",
@@ -86,11 +84,6 @@ def cap_fraction(cos_theta: float, sphere_dim: int) -> float:
     sin2 = max(0.0, 1.0 - cos_theta * cos_theta)
     half = 0.5 * betainc(sphere_dim / 2.0, 0.5, sin2)
     return half if cos_theta >= 0.0 else 1.0 - half
-
-
-def _polar_weight_norm(q: int) -> float:
-    """int_0^pi sin^(q-1) theta dtheta for the polar angle on S^q."""
-    return math.sqrt(math.pi) * math.gamma(q / 2.0) / math.gamma((q + 1) / 2.0)
 
 
 def _disk_square_area(c0: float, c1: float, r: float) -> float:
@@ -193,7 +186,8 @@ class ReferenceDistribution:
     def smoothed_derivative_table(self, kernel: Kernel, s, h_values, X) -> np.ndarray:
         """D^s p_h(x) over a bandwidth list and point rows; shape (len(h), len(X)).
 
-        s = None (or zero) gives p_h.  Cells without an exact table route are
+        s = None (or zero) gives p_h.  Every kind has a table for the Gaussian,
+        the one kernel with derivatives; the other kernels' p_h cells are
         filled by certified quadrature.
         """
         s, h_values, X = self._check_table(kernel, s, h_values, X)
@@ -201,17 +195,8 @@ class ReferenceDistribution:
         if table is not None:
             return table
         d = self.ambient_dim
-
-        def integrand(h):
-            scale = h ** (d + s.order)
-            if s.is_zero():
-                return lambda rr: kernel.radial(rr / h) / scale
-            return lambda V: kernel.deriv_eval_many(s, np.asarray(V) / h) / scale
-
-        what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
-        cell = self._expect_radial if s.is_zero() else self._expect_vector
-        rows = [integrand(float(h)) for h in h_values]
-        return self._fill(rows, X, cell, self._density_tol, what, radial=s.is_zero())
+        rows = [lambda rr, h=float(h), scale=float(h) ** d: kernel.radial(rr / h) / scale for h in h_values]
+        return self._fill(rows, X, self._expect_radial, self._density_tol, "smoothed_density", radial=True)
 
     def moment_k(self, kernel: Kernel, x, h: float, k: float, s=None) -> float:
         """E[ |D^s K((x - X)/h)|^k ], as the 1x1 table."""
@@ -345,7 +330,7 @@ def _sphere_average(x, rho: float, q: int, f, radial: bool) -> tuple[float, floa
             return float(f(rho)), 0.0
         if q == 0:
             return 0.5 * (float(f(abs(m - rho))) + float(f(m + rho))), 0.0
-        Z = _polar_weight_norm(q)
+        Z = math.sqrt(math.pi) * math.gamma(q / 2.0) / math.gamma((q + 1) / 2.0)  # int_0^pi sin^(q-1)
 
         def ang(theta):
             dist = math.sqrt(max(0.0, m * m + rho * rho - 2.0 * m * rho * math.cos(theta)))
@@ -379,7 +364,72 @@ def _sphere_average(x, rho: float, q: int, f, radial: bool) -> tuple[float, floa
         # each inner error enters weighted by sin(theta), which integrates to 2
         scale = 4.0 * math.pi
         return v / scale, (e + 2.0 * max(inner_errs, default=0.0)) / scale
-    raise NotImplementedError("sphere quadrature for non-radial integrands is implemented for q <= 2")
+    raise NotImplementedError("the vector sphere quadrature, which serves only s != 0 moments, is implemented for q <= 2")
+
+
+def _gauss_sphere(x, h: float, s: MultiIndex):
+    """rho -> D^s p_h(x) for the Gaussian kernel and the uniform law on the sphere of radius rho about 0.
+
+    With m = ||x||, z = m rho / h^2 and nu = d/2 - 1, the sphere average of
+    exp(z cos theta) is Gamma(nu+1) (2/z)^nu I_nu(z) (DLMF 10.32), so
+    p_h(x) = g(m^2/2) with g(w) = C exp(-w/h^2) z^-nu I_nu(z).  As d/dw is
+    (rho^2/h^4) (1/z) d/dz and (1/z) d/dz [z^-nu I_nu] = z^-(nu+1) I_(nu+1)
+    (DLMF 10.29.4), g^(n) is C exp(-w/h^2) times the sum over j of
+    binom(n, j) (-1/h^2)^(n-j) (rho^2/h^4)^j z^-(nu+j) I_(nu+j)(z).  By the
+    chain rule D^s p_h sums the monomials c x^e of D^s K
+    (_gaussian_deriv_monomials), each weighted by |c| g^((|s|+|e|)/2).
+    """
+    d, h2 = len(x), h * h
+    nu = d / 2.0 - 1.0
+    m = float(np.linalg.norm(x))
+    m = m if m >= _TINY else 0.0
+    c = 1.0 / (2.0 * math.pi * h * h) ** (d / 2.0) * math.gamma(nu + 1.0) * 2.0**nu
+    b = [0.0] * (s.order + 1)  # b[j] multiplies (rho^2/h^4)^j z^-(nu+j) I_(nu+j)(z)
+    for e, coef in _gaussian_deriv_monomials(s.orders):
+        n = (s.order + sum(e)) // 2  # the monomial multiplies g^(n)
+        w = abs(coef) * math.prod(float(v) ** k for v, k in zip(x, e))
+        for j in range(n + 1):
+            b[j] += w * math.comb(n, j) * (-1.0 / h2) ** (n - j)
+    limit = [1.0 / (2.0 ** (nu + j) * math.gamma(nu + j + 1.0)) for j in range(s.order + 1)]  # of z^-(nu+j) I_(nu+j) at 0
+
+    def at(rho):
+        z = m * rho / h2
+        total = 0.0
+        for j, bj in enumerate(b):
+            total += bj * (rho * rho / (h2 * h2)) ** j * (float(ive(nu + j, z)) * z ** -(nu + j) if z > 0.0 else limit[j])
+        return c * total * math.exp(-0.5 * (m - rho) ** 2 / h2)
+
+    return at
+
+
+class _SphereMixture(ReferenceDistribution):
+    """X = rho U, U uniform on the unit sphere; _radial_pushforward(inner) gives (E[inner(rho)], error)."""
+
+    _rotation_invariant = True
+
+    def _table(self, kernel, s, h_values, X):
+        if kernel.form != "gaussian":
+            return None
+
+        def cell(x, h):
+            return self._radial_pushforward(_gauss_sphere(x, h, s))
+
+        what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
+        return self._fill([float(h) for h in h_values], X, cell, self._density_tol, what, radial=s.is_zero())
+
+    def _expect_sphere_mixture(self, x, f, radial) -> tuple[float, float]:
+        inner_errs = []
+
+        def inner(rho):
+            v, e = _sphere_average(x, rho, self.ambient_dim - 1, f, radial)
+            inner_errs.append(e)
+            return v
+
+        val, err = self._radial_pushforward(inner)
+        return val, err + max(inner_errs, default=0.0)
+
+    _expect_radial = partialmethod(_expect_sphere_mixture, radial=True)
+    _expect_vector = partialmethod(_expect_sphere_mixture, radial=False)
 
 
 class UniformCube(ReferenceDistribution):
@@ -498,13 +548,11 @@ class UniformCube(ReferenceDistribution):
         return pts, covering
 
 
-class UnboundedBall(ReferenceDistribution):
+class UnboundedBall(_SphereMixture):
     """Distribution on the unit ball of R^d with density proportional to ||x||^(-beta).
 
     P(B(0, r)) = r^(d - beta) for r <= 1, so the volume dimension is d - beta.
     """
-
-    _rotation_invariant = True
 
     def __init__(self, dim: int, beta: float):
         if dim < 1:
@@ -525,8 +573,8 @@ class UnboundedBall(ReferenceDistribution):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return radii[:, None] * dirs
 
-    def _radial_pushforward(self, inner) -> tuple[float, float]:
-        # E[inner(rho)] for rho = ||X||: substitute u = rho^(d-beta), u ~ U(0,1)
+    def _radial_pushforward(self, inner):
+        # substitute u = rho^(d-beta), u ~ U(0,1)
         a = self.ambient_dim - self.beta
         return _quad(lambda u: inner(u ** (1.0 / a)), 0.0, 1.0)
 
@@ -548,43 +596,6 @@ class UnboundedBall(ReferenceDistribution):
         v, e = _quad(frac, lo, hi)
         return inside + v, e
 
-    def _table(self, kernel, s, h_values, X):
-        if kernel.form != "gaussian" or self.ambient_dim != 2 or not s.is_zero():
-            return None
-        rows = [float(h) for h in h_values]
-        return self._fill(rows, X, self._bessel_density, self._density_tol, "smoothed_density", radial=True)
-
-    def _bessel_density(self, x, h) -> tuple[float, float]:
-        # the Gaussian averaged over the circle of radius rho is a scaled Bessel I0
-        c = 1.0 / (2.0 * math.pi * h * h)
-        m = float(np.linalg.norm(x))
-
-        def inner(rho):
-            if m < _TINY:
-                return c * math.exp(-0.5 * rho * rho / (h * h))
-            z = m * rho / (h * h)
-            return c * float(ive(0, z)) * math.exp(-0.5 * (m - rho) ** 2 / (h * h))
-
-        return self._radial_pushforward(inner)
-
-    def _expect_radial(self, x, g):
-        return self._expect_sphere_mixture(x, g, radial=True)
-
-    def _expect_vector(self, x, f):
-        return self._expect_sphere_mixture(x, f, radial=False)
-
-    def _expect_sphere_mixture(self, x, f, radial) -> tuple[float, float]:
-        # X = rho * U with U uniform on the unit sphere and independent of rho
-        inner_errs = []
-
-        def inner(rho):
-            v, e = _sphere_average(x, rho, self.ambient_dim - 1, f, radial)
-            inner_errs.append(e)
-            return v
-
-        val, err = self._radial_pushforward(inner)
-        return val, err + max(inner_errs, default=0.0)
-
     def special_points(self):
         d = self.ambient_dim
         pts = [np.zeros(d)]
@@ -604,10 +615,8 @@ class UnboundedBall(ReferenceDistribution):
         return pts, covering
 
 
-class UniformSphere(ReferenceDistribution):
+class UniformSphere(_SphereMixture):
     """Uniform distribution on the sphere of dimension d_M embedded in R^(d_M+1)."""
-
-    _rotation_invariant = True
 
     def __init__(self, manifold_dim: int, radius: float = 1.0):
         if manifold_dim < 1:
@@ -634,22 +643,8 @@ class UniformSphere(ReferenceDistribution):
         c = (m * m + rho * rho - r * r) / (2.0 * m * rho)
         return cap_fraction(c, self.manifold_dim), 0.0
 
-    def _table(self, kernel, s, h_values, X):
-        if kernel.form != "gaussian" or self.manifold_dim != 1 or not s.is_zero():
-            return None
-        m = np.linalg.norm(X, axis=1)
-        rho = self.radius
-        out = np.empty((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            z = m * rho / (h * h)
-            out[i] = ive(0, z) * np.exp(-0.5 * (m - rho) ** 2 / (h * h)) / (2.0 * math.pi * h * h)
-        return out
-
-    def _expect_radial(self, x, g):
-        return _sphere_average(x, self.radius, self.manifold_dim, g, radial=True)
-
-    def _expect_vector(self, x, f):
-        return _sphere_average(x, self.radius, self.manifold_dim, f, radial=False)
+    def _radial_pushforward(self, inner):
+        return inner(self.radius), 0.0
 
     def special_points(self):
         p = np.zeros(self.ambient_dim)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ def _square_ramp(r):
 
 
 # (route, distribution, kernel, k, x, h, bits): quadrature cells of the radial
-# routes, checked bit for bit; k = None is p_h.  One cell per route costs far
+# routes and the S^2 Gaussian closed form, checked bit for bit; k = None is
+# p_h.  One cell per route costs far
 # less than a golden moment_scaling config per route.
 _PINNED_QUADRATURE = [
     ("ball2_epanechnikov_center", lambda: UnboundedBall(2, 1.0), Kernel.epanechnikov(2), 2.0, (0.0, 0.0), 0.1, "0x1.6224a912ebe6ap-6"),
@@ -402,6 +404,46 @@ class TestSmoothedDerivative:
         got = dist.smoothed_derivative(GAUSS2, (1, 0), h, x)
         assert got == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "dist, cells", [(UniformCircle(1.0), 10), (UniformSphere(2), 3), (UnboundedBall(2, 1.0), 6)], ids=["circle", "sphere2", "ball"]
+    )
+    def test_closed_form_matches_vector_quadrature(self, dist, cells):
+        # seeded cells with |s| <= 2 against the vector quadrature of D^s phi_h,
+        # within its claimed error plus 1e-14 of max(|value|, 1)
+        d = dist.ambient_dim
+        kern = Kernel.gaussian(d)
+        orders = [s for s in itertools.product(range(3), repeat=d) if sum(s) <= 2]
+        rng = np.random.default_rng(5)
+        for _ in range(cells):
+            x, s = rng.uniform(-1.1, 1.2, size=d), orders[rng.integers(len(orders))]
+            h = float(rng.choice([0.07, 0.15, 0.3]))
+            got = dist.smoothed_derivative(kern, s, h, x)
+            want, err = dist._expect_vector(x, lambda V: kern.deriv_eval_many(s, np.asarray(V) / h) / h ** (d + sum(s)))
+            assert abs(got - want) <= err + 1e-14 * max(abs(want), 1.0), (x, s, h)
+
+    @pytest.mark.parametrize("dist", [UniformSphere(3), UnboundedBall(4, 1.5)], ids=["sphere3", "ball4"])
+    def test_four_dimensional_derivatives_match_finite_differences(self, dist):
+        # five-point central differences, per derivative axis, of the s = 0 polar-angle route
+        kern = Kernel.gaussian(4)
+        stencil = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # over 12 eps
+
+        def density(x, h):
+            return dist._expect_radial(x, lambda r: kern.radial(r / h) / h**4)[0]
+
+        rng = np.random.default_rng(3)
+        for s in [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2)]:
+            for h in (0.2, 0.4):
+                x, eps = rng.uniform(-0.7, 0.7, size=4), 0.01 * h
+                axes = [i for i, k in enumerate(s) for _ in range(k)]
+                fd = 0.0
+                for steps in itertools.product(stencil, repeat=len(axes)):
+                    y = x.copy()
+                    for i, (k, _) in zip(axes, steps):
+                        y[i] += k * eps
+                    fd += math.prod(w for _, w in steps) * density(y, h)
+                fd /= (12.0 * eps) ** len(axes)
+                assert dist.smoothed_derivative(kern, s, h, x) == pytest.approx(fd, rel=1e-6), (s, h, x)
+
     def test_cube2_second_order_matches_finite_difference(self):
         dist = UniformCube(2)
         h = 0.25
@@ -497,8 +539,8 @@ _ONE_BY_ONE_CASES = [
     ("cube1", lambda: UniformCube(1), [None, (1,), (2,)], 6),
     ("cube2", lambda: UniformCube(2), [None, (1, 0), (1, 1), (0, 2)], 6),
     ("circle", lambda: UniformCircle(1.0), [None, (1, 0)], 6),
-    ("sphere2", lambda: UniformSphere(2), [None], 2),
-    ("ball", lambda: UnboundedBall(2, 1.0), [None, (0, 1)], 1),
+    ("sphere2", lambda: UniformSphere(2), [None, (1, 0, 0), (0, 1, 1)], 6),
+    ("ball", lambda: UnboundedBall(2, 1.0), [None, (0, 1), (2, 0)], 6),
     ("point_masses", lambda: PointMasses([[0.0, 0.0], [0.5, 0.25]], [0.25, 0.75]), [None, (1, 0), (2, 1)], 6),
     ("mixture", lambda: Mixture([UniformCircle(1.0), UniformCube(2)], [0.4, 0.6]), [None, (1, 1)], 6),
 ]
@@ -747,16 +789,21 @@ class TestRadialCells:
                 for j, p in enumerate(X):
                     assert table[i, j] == table_of([v], p[None])[0, 0], (i, v, p)
 
-    def test_one_bessel_cell_per_radius_and_bandwidth(self, monkeypatch):
-        dist = UnboundedBall(2, 1.0)
-        X = make_eval_grid(dist, 40).points
-        calls = _counting(monkeypatch, UnboundedBall, "_bessel_density")
+    @pytest.mark.parametrize("dist", [UnboundedBall(2, 1.0), UniformCircle(1.0)], ids=["ball", "circle"])
+    def test_one_gauss_sphere_cell_per_radius_and_bandwidth(self, dist, monkeypatch):
+        # s = 0 cells read x through ||x|| alone; derivatives, through the direction too
+        X = np.vstack([make_eval_grid(dist, 40).points, [[0.3, 0.4], [0.4, 0.3], [-0.3, 0.4]]])
+        real, calls = dist_module._gauss_sphere, []
+        monkeypatch.setattr(dist_module, "_gauss_sphere", lambda x, h, s: calls.append(tuple(x)) or real(x, h, s))
         hs = [0.1, 0.3]
         dist.smoothed_density_table(GAUSS2, hs, X)
         radii = {float(np.linalg.norm(x)) for x in X}
         assert len(radii) < X.shape[0]
         assert len(calls) == len(hs) * len(radii)
         assert {float(np.linalg.norm(x)) for x in calls} == radii
+        calls.clear()
+        dist.smoothed_derivative_table(GAUSS2, (1, 0), hs, X)
+        assert len(calls) == len(hs) * X.shape[0]
 
     def test_other_cells_are_not_keyed(self, monkeypatch):
         # one distance from 0 for every point: each cell is still filled on its own
@@ -771,8 +818,6 @@ class TestRadialCells:
                 lambda: Mixture([UniformCircle(1.0), UnboundedBall(2, 1.0)], [0.5, 0.5]).ball_prob_table([0.2], X2),
                 3,
             ),
-            # derivatives read the direction of x - X, not only its length
-            (UniformCircle, "_expect_vector", lambda: UniformCircle(1.0).smoothed_derivative_table(GAUSS2, (1, 0), [0.2], X2), 3),
         ]
         for cls, name, fill, cells in cases:
             with monkeypatch.context() as patch:
@@ -849,3 +894,4 @@ def test_invalid_parameters():
         UniformCube(2).sample(0, seed=1)
     with pytest.raises(ValueError):
         UniformCube(2).ball_prob(np.zeros(2), -0.1)
+
