@@ -44,7 +44,7 @@ _PINNED_QUADRATURE = [
     ("cube1_triangular_density", lambda: UniformCube(1), Kernel.triangular(1), None, (0.05,), 0.1, "0x1.c000000000000p-1"),
     ("cube1_uniform", lambda: UniformCube(1), Kernel.uniform(1), 2.0, (0.05,), 0.1, "0x1.3333333333336p-5"),
     ("circle_triangular_density", lambda: UniformCircle(1.0), Kernel.triangular(2), None, (0.8, 0.3), 0.2, "0x1.955a0f44d2c5fp-3"),
-    ("sphere2_gaussian_density", lambda: UniformSphere(2), GAUSS3, None, (0.6, 0.0, 0.8), 0.2, "0x1.451660e4d57adp-3"),
+    ("sphere2_gaussian_density", lambda: UniformSphere(2), GAUSS3, None, (0.6, 0.0, 0.8), 0.2, "0x1.451660e4d57b1p-3"),
     ("cube1_epanechnikov_k3", lambda: UniformCube(1), Kernel.epanechnikov(1), 3.0, (0.37,), 0.1, "0x1.3bfa2608c6cc5p-5"),
     ("ball1_epanechnikov_k3", lambda: UnboundedBall(1, 0.5), Kernel.epanechnikov(1), 3.0, (0.3,), 0.1, "0x1.21cff5d0c7e64p-6"),
     (

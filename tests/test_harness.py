@@ -648,9 +648,9 @@ _GOLDEN_SHA256 = {
         "summary.csv": "cef008439a24267e69ccd6189437b7509adf25d22f9756bdb424383ab8bd66b7",
     },
     "ball_s01": {
-        "replicates.csv": "7d60096b7c59026a26894249f418e3263520d846e08a84d91ec7641e50844c72",
-        "report.json": "1525544e393f32f9b5a2a3116866710adf8a7e3d2b0c94f2fec8dbc79bb799d7",
-        "summary.csv": "c57ea9ee748f9c05da51f93c0b000c27a652e222f8caa7024588ec6560175586",
+        "replicates.csv": "21abd04ab452727dace5ed4b730b894980d6db947a9d1eddba33fcc58711f60f",
+        "report.json": "f19144476d871b365a42e06dfa628a640e643437288cdb1b8dee2d2378194565",
+        "summary.csv": "2798137b0762ed2e41c4a06cf7a0f6911b3237edf9d95c9c77cc478244c0792b",
     },
     "bounds_sigma2": {
         "bounds.json": "5cbfa4892caf49d25bfb1ad7cb2a88ff2deaa5c7a3fcfdf74f8f7a9056f9c0eb",
@@ -689,9 +689,9 @@ _GOLDEN_SHA256 = {
         "summary.csv": "d50db14ec6f34f661040cf5c70b8e7269c9aa4b6136e70a7f21cf1620d63e7e1",
     },
     "mixture": {
-        "replicates.csv": "65e7783e5370ea9242c4158043a7321303ad335c9bbf634fcd67673412c705bc",
-        "report.json": "4cc53b781367c1ca34cf08cacb79948e405f11c2f0ce868f37d1f829bab0e2cf",
-        "summary.csv": "d7abaf376a3aab3477051afe3c7ae939bf56cc10c689778af091879d0f743574",
+        "replicates.csv": "2956e1370e099c67a69eb2cca57105e114acda812a5d9ab86227b8037e7661af",
+        "report.json": "56fd9c644821afe9d81cd8ae825fd908ffa4f2bb2a309cecdd0024e2c0c4aad8",
+        "summary.csv": "75d5745776bdfcef091f2ca8c2576f753b860d321cd6edc2d36107d026722528",
     },
     "moments_epan_ball1": {
         "moments.csv": "a70ae076dc1ab4260b65da04bcc537e0063a2222229f52fdade74d32b2091aa2",
@@ -706,8 +706,8 @@ _GOLDEN_SHA256 = {
         "moments.json": "78c5cc929bf692730c3b9c9016a2b16002899fae464fbafc23b6c241c6947582",
     },
     "moments_gauss_circle": {
-        "moments.csv": "bb1d9df0d53390ba54544c56a44aeb5c00205d2dc9cf5e98aa618020b8762aaa",
-        "moments.json": "fc314862d980b8f1668f56b618476d8889d01766f792752e41b1fddb6eb888f2",
+        "moments.csv": "3e16d1ed623687cb317cce9e3c93700f46d3478568abf2974a7f00e22e8e04f8",
+        "moments.json": "3f2dbb739202da8d4f7c66f4aa9497d2c5b80a81bd1e7d38120d02ecdb116685",
     },
     "moments_gauss_cube2_s10": {
         "moments.csv": "f137cd75b4892aba02ee630c657eb80c8266ad310d01e997b3425a2d1dc89d7e",
@@ -727,9 +727,9 @@ _GOLDEN_SHA256 = {
         "summary.csv": "cb974d746a363d0e93b60af1ab187d7f0c0469292727f2e4cff6c1b1477bab9b",
     },
     "sphere2": {
-        "replicates.csv": "129939c79d0b05cb97d1e4504073c33b0fdbc215f54e073f0dcac6d69d5c40e0",
-        "report.json": "c1126657aca84a8bc5ca3376edcb02c1d16269a24c650c5bc027681b42a0e697",
-        "summary.csv": "8e7cc0c3ba38ce567d34ca9e3cc62a7e1906f4f3098b4f7cca1d1d277b3849e5",
+        "replicates.csv": "923dcbbf794c693b4f4b13713b3a78042aa0c1d3f389843a769b871dc7ef9512",
+        "report.json": "3dc29dbb23ded5051ac3124c341d385ea235b9b5f057064e5fb0f2f494707698",
+        "summary.csv": "6bbd031277e67bbeb2e707289e8585bfff40c38bab050e653ae9ddb61cd14fc5",
     },
     "voldim_both": {
         "sweep_empirical.csv": "485019e0efe695e08f74d7019c9a381588686a19e65f7aae7492b45dbb27069d",
