@@ -271,11 +271,8 @@ def discretization_bound(kernel: Kernel, s, spacing: float, h: float) -> float:
 
     Both p-hat_h and p_h move at most Lip/h^(d+|s|+1) per unit of x, so the
     grid max underestimates the continuum sup by at most this amount.
-    Lip is Kernel.deriv_lipschitz: a certified bound for the built-in
-    forms and for Gaussian derivatives of any order, but for a
-    custom_radial kernel given no constant a finite-difference estimate,
-    which makes the certificate an estimate too.  Returns inf for kernels
-    without a Lipschitz constant.
+    Lip is Kernel.deriv_lipschitz: a certified bound, or the constant a
+    custom_radial kernel was given.  Returns inf for kernels without one.
     """
     s = kernel.derivative_index(s)
     lip = kernel.deriv_lipschitz(s)

@@ -260,10 +260,8 @@ class Kernel:
         """Kernel from a nonincreasing radial profile [0, inf) -> [0, inf).
 
         The profile is probed on a grid to validate monotonicity and read
-        off the sup norm; a Lipschitz constant, if not given, is estimated
-        from finite differences on the same grid.  That estimate is not a
-        bound (a steeper stretch between grid points goes unseen), so a
-        discretization_bound built on it is not certified either.
+        off the sup norm.  Without a given Lipschitz constant the kernel has
+        none, as the uniform kernel has none.
         """
         grid = np.linspace(0.0, support_radius if support_radius else 50.0, 20001)
         vals = np.asarray(profile(grid), dtype=float)
@@ -274,9 +272,6 @@ class Kernel:
         sup = float(vals[0])
         if not math.isfinite(sup):
             raise ValueError("custom radial profile must have finite sup norm")
-        if lipschitz is None:
-            slopes = np.abs(np.diff(vals)) / (grid[1] - grid[0])
-            lipschitz = float(slopes.max()) if slopes.size else 0.0
 
         def profile_sq(r2, h, out=None):
             vals = profile(np.sqrt(r2) / h)
@@ -359,7 +354,8 @@ class Kernel:
         """An upper bound on sup_x ||grad D^s K(x)||_2, the Lipschitz constant of D^s K.
 
         For s = 0 this is the form's own constant (None for the uniform
-        kernel).  For s != 0 (the Gaussian) the j-th partial of D^s K is
+        kernel and for a custom_radial kernel given none).  For s != 0 (the
+        Gaussian) the j-th partial of D^s K is
         prod_i phi^(s_i + [i = j])(x_i), bounded by the product of the 1-D
         maxima; the bound is the 2-norm of those d products.  It is exact in
         d = 1 and at most sqrt(d) times the supremum, since each product is

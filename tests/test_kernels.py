@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kderates.bounds import covering_bound
+from kderates.kde import discretization_bound
 from kderates.kernels import Kernel, MultiIndex, kernel_from_config
 
 
@@ -182,6 +184,20 @@ class TestLipschitz:
 
     def test_uniform_has_none(self):
         assert Kernel.uniform(2).lipschitz is None
+
+    def test_custom_radial_has_only_a_given_constant(self):
+        # falls from 1 to 0 on r in [0.001, 0.0015]: slope 2000, between the probe grid's nodes
+        def steep(r):
+            return np.clip((0.0015 - np.asarray(r)) / 0.0005, 0.0, 1.0)
+
+        bare = Kernel.custom_radial(1, steep)
+        assert bare.lipschitz is None
+        assert math.isinf(discretization_bound(bare, None, 0.01, 0.1))
+        with pytest.raises(ValueError, match="no Lipschitz constant"):
+            covering_bound(bare, 0.1, 1.0, 0.5)
+        given = Kernel.custom_radial(1, steep, lipschitz=2000.0)
+        assert given.deriv_lipschitz() == 2000.0
+        assert discretization_bound(given, None, 0.01, 0.1) == 2.0 * 2000.0 * 0.01 / 0.1**2
 
 
 # (||D^s K||_inf, Lip(D^s K)) of the Gaussian as float.hex, recorded when the
