@@ -652,6 +652,8 @@ class UniformSphere(_SphereMixture):
         return p.reshape(1, -1)
 
     def lattice(self, target_size):
+        if self.manifold_dim > 2:
+            raise ValueError(f"the uniform_sphere lattice is implemented for manifold_dim <= 2, got {self.manifold_dim}")
         rho = self.radius
         if self.manifold_dim == 1:
             k = max(4, int(target_size))

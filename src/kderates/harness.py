@@ -148,8 +148,8 @@ class ExperimentConfig:
             raise ValueError(f"x_grid.target_size must be a positive integer, got {size}")
         return size
 
-    def eval_grid(self, dist: ReferenceDistribution) -> EvalGrid:
-        return make_eval_grid(dist, self.grid_target_size())
+    def eval_grid(self, dist: ReferenceDistribution | None = None) -> EvalGrid:
+        return make_eval_grid(dist or self.distribution(), self.grid_target_size())
 
     def normalized(self) -> dict:
         out = {k: v for k, v in self.raw.items() if k != "out_dir"}
@@ -613,7 +613,7 @@ _KDE_PARTS = (
     ExperimentConfig.distribution,
     ExperimentConfig.derivative,
     ExperimentConfig.bandwidth_grid,
-    ExperimentConfig.grid_target_size,
+    ExperimentConfig.eval_grid,
 )
 _CAMPAIGN_PARTS = (*_KDE_PARTS, ExperimentConfig.sample_sizes)
 
@@ -622,7 +622,7 @@ MODES = {
     "rate_in_n": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
     "moment_scaling": Mode("moments", _KDE_PARTS, _run_moments),
     "voldim": Mode(
-        "voldim", (ExperimentConfig.distribution, ExperimentConfig.grid_target_size, ExperimentConfig.voldim_sources), _run_voldim
+        "voldim", (ExperimentConfig.distribution, ExperimentConfig.eval_grid, ExperimentConfig.voldim_sources), _run_voldim
     ),
     "bounds": Mode("bounds", (ExperimentConfig.bound_spec,), _run_bounds),
     "covering": Mode("covering", (ExperimentConfig.covering_spec,), _run_covering),

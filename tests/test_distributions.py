@@ -895,3 +895,10 @@ def test_invalid_parameters():
     with pytest.raises(ValueError):
         UniformCube(2).ball_prob(np.zeros(2), -0.1)
 
+
+def test_sphere_lattice_needs_manifold_dim_at_most_2():
+    # S^3 has oracles but no lattice: its points would lie in R^3, not R^4
+    with pytest.raises(ValueError, match="manifold_dim <= 2"):
+        UniformSphere(3).lattice(50)
+    for q in (1, 2):
+        assert UniformSphere(q).lattice(50)[0].shape[1] == q + 1

@@ -134,8 +134,12 @@ class TestConfig:
             ({"h_grid": {**_RATE_CFG["h_grid"], "h_max": math.inf}}, "h_max=inf"),
             ({"x_grid": {"target_size": -4}}, "target_size must be a positive integer"),
             ({"n_list": [0]}, "positive sample sizes"),
+            (
+                {"distribution": {"kind": "uniform_sphere", "manifold_dim": 3}, "kernel": {"form": "gaussian", "dim": 4}},
+                "manifold_dim <= 2",
+            ),
         ],
-        ids=["h_grid.l_n_nan", "h_grid.h_max_inf", "x_grid.target_size_negative", "n_list_zero"],
+        ids=["h_grid.l_n_nan", "h_grid.h_max_inf", "x_grid.target_size_negative", "n_list_zero", "sphere3_lattice"],
     )
     def test_bad_value_rejected_before_run(self, overrides, message):
         with pytest.raises(ValueError, match=message):
