@@ -573,8 +573,8 @@ class UnboundedBall(_SphereMixture):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return radii[:, None] * dirs
 
-    def _radial_pushforward(self, inner):
-        # substitute u = rho^(d-beta), u ~ U(0,1)
+    def _radial_pushforward(self, inner) -> tuple[float, float]:
+        # E[inner(rho)] for rho = ||X||: substitute u = rho^(d-beta), u ~ U(0,1)
         a = self.ambient_dim - self.beta
         return _quad(lambda u: inner(u ** (1.0 / a)), 0.0, 1.0)
 
