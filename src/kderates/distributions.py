@@ -383,6 +383,7 @@ def _gauss_sphere(x, h: float, s: MultiIndex):
     nu = d / 2.0 - 1.0
     m = float(np.linalg.norm(x))
     m = m if m >= _TINY else 0.0
+    # 2 pi h h in this association and factors of exactly 1.0 at nu = 0: the 2-D ball goldens hold these bits
     c = 1.0 / (2.0 * math.pi * h * h) ** (d / 2.0) * math.gamma(nu + 1.0) * 2.0**nu
     b = [0.0] * (s.order + 1)  # b[j] multiplies (rho^2/h^4)^j z^-(nu+j) I_(nu+j)(z)
     for e, coef in _gaussian_deriv_monomials(s.orders):
