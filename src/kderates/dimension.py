@@ -8,7 +8,8 @@
 # across radii: open balls d2 < r*r for the volume dimension, closed balls
 # d2 <= r*r for greedy covers and pair counts.  The tree sums d2 coordinate
 # by coordinate, as ((x - y)**2).sum() does, so its counts equal those of a
-# brute-force scan (the tests pin this in d = 1, 2, 3).
+# brute-force scan (the tests pin this in d = 1, 2, 3).  scipy.spatial
+# loads when the first tree is built, not when this module is imported.
 #
 # The limiting definitions carry no finite-sample recipe; the estimators
 # here are windowed log-log slopes, and every fit reports its maximal
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
+import scipy
 
 from .artifacts import csv_text
 from .distributions import ReferenceDistribution
@@ -112,7 +113,7 @@ def _empirical_counts(sample: np.ndarray, X: np.ndarray, radii: np.ndarray) -> n
     below it; where the two differ, a point lies within a few ulps of the
     sphere and the query is recounted with the exact test d2 < r*r.
     """
-    tree = cKDTree(sample)
+    tree = scipy.spatial.cKDTree(sample)
     out = np.empty((radii.size, X.shape[0]), dtype=np.int64)
     for i, r in enumerate(radii):
         out[i] = tree.query_ball_point(X, np.nextafter(r, 0.0), return_length=True)
@@ -171,7 +172,7 @@ def assumption_check(dist: ReferenceDistribution, x_grid, radii, nu: float) -> d
     return {"max_ratio": float(ratios.max()), "min_liminf_ratio": float(per_x_min.max())}
 
 
-def _greedy_cover_count(tree: cKDTree, delta: float) -> int:
+def _greedy_cover_count(tree: scipy.spatial.cKDTree, delta: float) -> int:
     """Greedy closed-ball cover with centers at the lowest-index uncovered points."""
     covered = np.zeros(tree.n, dtype=bool)
     count = 0
@@ -188,7 +189,7 @@ def box_dimension_estimate(sample, delta_grid) -> RateFit:
     deltas = np.sort(np.asarray(delta_grid, dtype=float))[::-1]
     if deltas.size < 4:
         raise ValueError("need at least 4 deltas")
-    tree = cKDTree(sample)
+    tree = scipy.spatial.cKDTree(sample)
     counts = np.array([_greedy_cover_count(tree, float(dl)) for dl in deltas], dtype=float)
     if np.all(counts == 1):
         warnings.warn("degenerate sample: greedy cover is a single ball at every delta")
@@ -208,7 +209,7 @@ def correlation_dimension_estimate(sample, r_grid) -> RateFit:
     radii = np.sort(np.asarray(r_grid, dtype=float))
     if radii.size < 4:
         raise ValueError("need at least 4 radii")
-    tree = cKDTree(sample)
+    tree = scipy.spatial.cKDTree(sample)
     counts = (tree.count_neighbors(tree, radii) - n) / 2  # ordered pairs, self-pairs removed
     fracs = counts / (n * (n - 1) / 2.0)
     keep = fracs > 0

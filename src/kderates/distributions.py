@@ -33,17 +33,22 @@
 # and the cube integrates its distances directly.  QUADPACK calls them
 # hundreds of thousands of times per table, so a node must not pass through
 # numpy's 0-d array machinery.
+#
+# Importing this module loads numpy and the bare scipy package only.
+# scipy.integrate loads at the first quadrature (_quad) and scipy.special at
+# the first Bessel closed form, cap fraction or Gaussian cube table; each
+# function is bound once per cell or table, never per quadrature node.
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import partialmethod
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc, ive, ndtr
+import scipy
 
 from .kernels import Kernel, MultiIndex, QuadratureError, _gaussian_deriv_monomials, _phi_deriv, unit_ball_volume
 
@@ -61,6 +66,8 @@ __all__ = [
 _TINY = 1e-14
 # the absolute accuracy every quadrature asks QUADPACK for
 _EPSABS = 1e-12
+# the rounding of a closed form's j-sum, per unit of the sum of the terms' magnitudes
+_SUM_ULPS = 8.0 * sys.float_info.epsilon
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -69,21 +76,25 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _quad(f, a, b, points=None, limit=200) -> tuple[float, float]:
     """scipy quad wrapped to return (value, abserr) without printing warnings."""
-    out = integrate.quad(f, a, b, points=points, limit=limit, epsabs=_EPSABS, epsrel=1e-10, full_output=1)
+    out = scipy.integrate.quad(f, a, b, points=points, limit=limit, epsabs=_EPSABS, epsrel=1e-10, full_output=1)
     return float(out[0]), float(out[1])
 
 
-def cap_fraction(cos_theta: float, sphere_dim: int) -> float:
-    """Fraction of the unit sphere S^q within angle arccos(cos_theta) of a pole."""
-    if cos_theta <= -1.0:
-        return 1.0
-    if cos_theta >= 1.0:
-        return 0.0
+def cap_fraction(sphere_dim: int):
+    """cos_theta -> the fraction of the unit sphere S^q within angle arccos(cos_theta) of a pole."""
     if sphere_dim == 1:
-        return math.acos(cos_theta) / math.pi
-    sin2 = max(0.0, 1.0 - cos_theta * cos_theta)
-    half = 0.5 * betainc(sphere_dim / 2.0, 0.5, sin2)
-    return half if cos_theta >= 0.0 else 1.0 - half
+        return lambda c: 1.0 if c <= -1.0 else 0.0 if c >= 1.0 else math.acos(c) / math.pi
+    betainc, a = scipy.special.betainc, sphere_dim / 2.0
+
+    def frac(c):
+        if c <= -1.0:
+            return 1.0
+        if c >= 1.0:
+            return 0.0
+        half = 0.5 * betainc(a, 0.5, max(0.0, 1.0 - c * c))
+        return half if c >= 0.0 else 1.0 - half
+
+    return frac
 
 
 def _disk_square_area(c0: float, c1: float, r: float) -> float:
@@ -378,6 +389,10 @@ def _gauss_sphere(x, h: float, s: MultiIndex):
     binom(n, j) (-1/h^2)^(n-j) (rho^2/h^4)^j z^-(nu+j) I_(nu+j)(z).  By the
     chain rule D^s p_h sums the monomials c x^e of D^s K
     (_gaussian_deriv_monomials), each weighted by |c| g^((|s|+|e|)/2).
+
+    at(rho) returns (value, error).  The j-terms are of size p_h / h^(2j)
+    and cancel to a value of size p_h / h^|s|, so the error is a few ulps of
+    the sum of their magnitudes.
     """
     d, h2 = len(x), h * h
     nu = d / 2.0 - 1.0
@@ -391,20 +406,31 @@ def _gauss_sphere(x, h: float, s: MultiIndex):
         w = abs(coef) * math.prod(float(v) ** k for v, k in zip(x, e))
         for j in range(n + 1):
             b[j] += w * math.comb(n, j) * (-1.0 / h2) ** (n - j)
-    limit = [1.0 / (2.0 ** (nu + j) * math.gamma(nu + j + 1.0)) for j in range(s.order + 1)]  # of z^-(nu+j) I_(nu+j) at 0
+    # per j: b[j], j, the Bessel order nu + j and the limit of z^-(nu+j) I_(nu+j) at 0
+    terms = [(bj, j, nu + j, 1.0 / (2.0 ** (nu + j) * math.gamma(nu + j + 1.0))) for j, bj in enumerate(b)]
+    h4, c_err, ive = h2 * h2, _SUM_ULPS * c, scipy.special.ive
 
     def at(rho):
         z = m * rho / h2
-        total = 0.0
-        for j, bj in enumerate(b):
-            total += bj * (rho * rho / (h2 * h2)) ** j * (float(ive(nu + j, z)) * z ** -(nu + j) if z > 0.0 else limit[j])
-        return c * total * math.exp(-0.5 * (m - rho) ** 2 / h2)
+        r = rho * rho / h4
+        total = size = 0.0
+        for bj, j, order, limit in terms:
+            t = bj * r**j * (float(ive(order, z)) * z**-order if z > 0.0 else limit)
+            total += t
+            size += abs(t)
+        g = math.exp(-0.5 * (m - rho) ** 2 / h2)
+        return c * total * g, c_err * size * g
 
     return at
 
 
 class _SphereMixture(ReferenceDistribution):
-    """X = rho U, U uniform on the unit sphere; _radial_pushforward(inner) gives (E[inner(rho)], error)."""
+    """X = rho U, U uniform on the unit sphere.
+
+    _radial_pushforward(inner), for inner(rho) -> (value, error), gives
+    (E[value(rho)], error): its own quadrature error plus the largest inner
+    error.
+    """
 
     _rotation_invariant = True
 
@@ -419,15 +445,8 @@ class _SphereMixture(ReferenceDistribution):
         return self._fill([float(h) for h in h_values], X, cell, self._density_tol, what, radial=s.is_zero())
 
     def _expect_sphere_mixture(self, x, f, radial) -> tuple[float, float]:
-        inner_errs = []
-
-        def inner(rho):
-            v, e = _sphere_average(x, rho, self.ambient_dim - 1, f, radial)
-            inner_errs.append(e)
-            return v
-
-        val, err = self._radial_pushforward(inner)
-        return val, err + max(inner_errs, default=0.0)
+        q = self.ambient_dim - 1
+        return self._radial_pushforward(lambda rho: _sphere_average(x, rho, q, f, radial))
 
     _expect_radial = partialmethod(_expect_sphere_mixture, radial=True)
     _expect_vector = partialmethod(_expect_sphere_mixture, radial=False)
@@ -481,6 +500,7 @@ class UniformCube(ReferenceDistribution):
         # the Gaussian factorises over coordinates on a product domain
         if kernel.form != "gaussian":
             return None
+        ndtr = scipy.special.ndtr
         out = np.empty((h_values.size, X.shape[0]))
         for i, h in enumerate(h_values):
             acc = np.ones(X.shape[0])
@@ -577,7 +597,15 @@ class UnboundedBall(_SphereMixture):
     def _radial_pushforward(self, inner) -> tuple[float, float]:
         # E[inner(rho)] for rho = ||X||: substitute u = rho^(d-beta), u ~ U(0,1)
         a = self.ambient_dim - self.beta
-        return _quad(lambda u: inner(u ** (1.0 / a)), 0.0, 1.0)
+        inner_errs = []
+
+        def value(u):
+            v, e = inner(u ** (1.0 / a))
+            inner_errs.append(e)
+            return v
+
+        val, err = _quad(value, 0.0, 1.0)
+        return val, err + max(inner_errs, default=0.0)
 
     def _ball_prob_impl(self, x, r):
         # the shells rho < r - m lie inside B(x, r) whole and those with
@@ -588,11 +616,11 @@ class UnboundedBall(_SphereMixture):
         lo, hi = abs(m - r) ** a, min(m + r, 1.0) ** a
         if hi <= lo:
             return inside, 0.0
-        q = self.ambient_dim - 1
+        cap = cap_fraction(self.ambient_dim - 1)
 
         def frac(u):
             rho = u ** (1.0 / a)
-            return cap_fraction((m * m + rho * rho - r * r) / (2.0 * m * rho), q)
+            return cap((m * m + rho * rho - r * r) / (2.0 * m * rho))
 
         v, e = _quad(frac, lo, hi)
         return inside + v, e
@@ -642,10 +670,10 @@ class UniformSphere(_SphereMixture):
         if m < _TINY:
             return (1.0 if rho < r else 0.0), 0.0
         c = (m * m + rho * rho - r * r) / (2.0 * m * rho)
-        return cap_fraction(c, self.manifold_dim), 0.0
+        return cap_fraction(self.manifold_dim)(c), 0.0
 
     def _radial_pushforward(self, inner):
-        return inner(self.radius), 0.0
+        return inner(self.radius)
 
     def special_points(self):
         p = np.zeros(self.ambient_dim)

@@ -6,9 +6,11 @@
 # kderates.artifacts, which alone decides the byte format.
 #
 # Replicate r of a deviation campaign uses seed base_seed + r.  Replicates
-# run on a process pool sized by the KDERATES_WORKERS environment variable;
-# outcomes, failures included, are collected in task order, so parallel and
-# serial runs write identical artifacts.
+# run on a process pool of at most KDERATES_WORKERS processes (default: the
+# usable cores, at most 8) and never more than there are tasks; outcomes,
+# failures included, are collected in task order, so parallel and serial
+# runs write identical artifacts.  A failed replicate is left out of its
+# cells, and every sup keeps the index of the replicate that produced it.
 
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import yaml
 
 from . import bounds as bounds_mod
 from .artifacts import csv_text, dumps_17g, write_files
@@ -65,10 +66,14 @@ _COVERING_DEFAULTS = {
 
 
 def _workers() -> int:
+    """KDERATES_WORKERS when set and not empty, else the usable cores capped at 8."""
     env = os.environ.get(_WORKERS_ENV)
     if env:
-        return max(1, int(env))
-    return max(1, min(os.cpu_count() or 1, 8))
+        if not (env.strip().isdigit() and int(env) > 0):
+            raise ValueError(f"{_WORKERS_ENV} must be a positive integer, got {env!r}")
+        return int(env)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cores, 8)
 
 
 # -- configuration --------------------------------------------------------------
@@ -170,6 +175,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
+        import yaml  # only a config file needs it; `import kderates` does not load it
+
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
         if not isinstance(data, dict):
@@ -235,6 +242,12 @@ class DeviationCell:
     h: float
     sups: np.ndarray
     disc_bound: float
+    # the replicate index of each sup; None when the sups are replicates 0, 1, 2, ...
+    replicates: tuple[int, ...] | None = None
+
+    @property
+    def replicate_ids(self) -> tuple[int, ...]:
+        return tuple(range(self.sups.size)) if self.replicates is None else self.replicates
 
     @property
     def mean(self) -> float:
@@ -251,6 +264,11 @@ class DeviationCell:
     @property
     def q90(self) -> float:
         return float(np.quantile(self.sups, 0.90))
+
+    def to_dict(self) -> dict:
+        """The cell's report.json entry; replicates appears only when it is not None."""
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        return dict(out, mean=self.mean, median=self.median, q10=self.q10, q90=self.q90)
 
 
 @dataclass
@@ -271,8 +289,8 @@ class DeviationReport:
 
     @property
     def seeds(self) -> list[int]:
-        reps = max((c.sups.size for c in self.cells), default=0)
-        return [self.base_seed + r for r in range(reps)]
+        """The seeds of the replicates that produced a sup in some cell."""
+        return [self.base_seed + r for r in sorted({r for c in self.cells for r in c.replicate_ids})]
 
     def cell(self, n: int, h: float) -> DeviationCell:
         for c in self.cells:
@@ -293,14 +311,20 @@ class DeviationReport:
             "h_values": self.h_values,
             "n_list": self.n_list,
             "x_grid": {"size": self.grid_size, "spacing": self.grid_spacing},
-            "cells": [dict(asdict(c), mean=c.mean, median=c.median, q10=c.q10, q90=c.q90) for c in self.cells],
+            "cells": [c.to_dict() for c in self.cells],
             "failures": self.failures,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeviationReport":
         cells = [
-            DeviationCell(int(c["n"]), float(c["h"]), np.asarray(c["sups"], dtype=float), float(c["disc_bound"]))
+            DeviationCell(
+                int(c["n"]),
+                float(c["h"]),
+                np.asarray(c["sups"], dtype=float),
+                float(c["disc_bound"]),
+                tuple(int(r) for r in c["replicates"]) if "replicates" in c else None,
+            )
             for c in data["cells"]
         ]
         return cls(
@@ -330,7 +354,8 @@ class DeviationReport:
                 [(c.n, c.h, c.mean, c.median, c.q10, c.q90, c.disc_bound) for c in self.cells],
             ),
             "replicates.csv": csv_text(
-                ("n", "h", "replicate", "sup"), [(c.n, c.h, r, v) for c in self.cells for r, v in enumerate(c.sups)]
+                ("n", "h", "replicate", "sup"),
+                [(c.n, c.h, r, v) for c in self.cells for r, v in zip(c.replicate_ids, c.sups)],
             ),
         }
 
@@ -372,8 +397,8 @@ def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str,
         for n in n_list
         for r in range(reps)
     ]
-    workers = _workers()
-    if workers == 1 or len(tasks) == 1:
+    workers = min(_workers(), len(tasks))
+    if workers == 1:
         outcomes = [_deviation_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -382,12 +407,13 @@ def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str,
 
     cells = []
     for k, n in enumerate(n_list):
-        sups_by_rep = [o for o in outcomes[k * reps : (k + 1) * reps] if not isinstance(o, str)]
-        if not sups_by_rep:
+        done = {r: o for r, o in enumerate(outcomes[k * reps : (k + 1) * reps]) if not isinstance(o, str)}
+        if not done:
             continue
-        mat = np.stack(sups_by_rep, axis=0)  # (replicates, H)
+        mat = np.stack(list(done.values()), axis=0)  # (replicates, H)
+        ids = None if len(done) == reps else tuple(done)
         cells += [
-            DeviationCell(int(n), float(h), mat[:, i].copy(), discretization_bound(kernel, s, x_grid.spacing, float(h)))
+            DeviationCell(int(n), float(h), mat[:, i].copy(), discretization_bound(kernel, s, x_grid.spacing, float(h)), ids)
             for i, h in enumerate(h_grid.values)
         ]
     report = DeviationReport(

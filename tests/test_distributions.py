@@ -19,7 +19,7 @@ from kderates.distributions import (
 from kderates.dimension import dyadic_radii
 from kderates.harness import ExperimentConfig, run
 from kderates.kde import make_eval_grid
-from kderates.kernels import Kernel
+from kderates.kernels import Kernel, MultiIndex
 
 
 GAUSS1 = Kernel.gaussian(1)
@@ -408,8 +408,8 @@ class TestSmoothedDerivative:
         "dist, cells", [(UniformCircle(1.0), 10), (UniformSphere(2), 3), (UnboundedBall(2, 1.0), 6)], ids=["circle", "sphere2", "ball"]
     )
     def test_closed_form_matches_vector_quadrature(self, dist, cells):
-        # seeded cells with |s| <= 2 against the vector quadrature of D^s phi_h,
-        # within its claimed error plus 1e-14 of max(|value|, 1)
+        # seeded cells with |s| <= 2 against the vector quadrature of D^s phi_h:
+        # the two routes' claimed errors together cover the gap
         d = dist.ambient_dim
         kern = Kernel.gaussian(d)
         orders = [s for s in itertools.product(range(3), repeat=d) if sum(s) <= 2]
@@ -417,9 +417,19 @@ class TestSmoothedDerivative:
         for _ in range(cells):
             x, s = rng.uniform(-1.1, 1.2, size=d), orders[rng.integers(len(orders))]
             h = float(rng.choice([0.07, 0.15, 0.3]))
-            got = dist.smoothed_derivative(kern, s, h, x)
+            got, claimed = dist._radial_pushforward(dist_module._gauss_sphere(x, h, MultiIndex(s)))
+            assert got == dist.smoothed_derivative(kern, s, h, x)
             want, err = dist._expect_vector(x, lambda V: kern.deriv_eval_many(s, np.asarray(V) / h) / h ** (d + sum(s)))
-            assert abs(got - want) <= err + 1e-14 * max(abs(want), 1.0), (x, s, h)
+            assert abs(got - want) - err <= claimed, (x, s, h)
+
+    def test_closed_form_claims_its_cancellation(self):
+        # D^(0,2) p_h on the circle at h = 0.1: the j-terms, of size p_h / h^4,
+        # cancel to a value of size p_h / h^2 and leave rounding of order
+        # 1e-13 of it, so the closed form cannot claim an error of 0
+        dist, x, h = UniformCircle(1.0), np.array([0.1503, 1.0507]), 0.1
+        value, claimed = dist._radial_pushforward(dist_module._gauss_sphere(x, h, MultiIndex((0, 2))))
+        assert value == dist.smoothed_derivative(GAUSS2, (0, 2), h, x)
+        assert claimed > 0.0 and claimed >= 1e-13 * abs(value)
 
     @pytest.mark.parametrize("dist", [UniformSphere(3), UnboundedBall(4, 1.5)], ids=["sphere3", "ball4"])
     def test_four_dimensional_derivatives_match_finite_differences(self, dist):

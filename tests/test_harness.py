@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as etree
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
+import kderates
+from kderates import harness
 from kderates.harness import MODES, DeviationReport, ExperimentConfig, dumps_17g, emit_plots, fit_rate, run
 from kderates.cli import _build_parser, main as cli_main
 from kderates.distributions import UniformCircle, UniformCube, distribution_from_config
@@ -29,6 +32,10 @@ _RATE_CFG = {
     "base_seed": 77,
     "statistic": "median",
 }
+
+
+# the source tree, for subprocesses, which do not inherit pytest's import path
+_SRC = str(Path(kderates.__file__).resolve().parents[1])
 
 
 def small_rate_config(mode="rate_in_h", **overrides):
@@ -257,6 +264,89 @@ class TestReports:
         monkeypatch.setenv("KDERATES_WORKERS", "1")
         report = run(small_rate_config(base_seed=100, replicates=3), tmp_path)
         assert report.seeds == [100, 101, 102]
+
+    def test_failed_replicates_keep_their_labels(self, tmp_path, monkeypatch):
+        # replicate 1 fails at both sample sizes, replicate 10 at n = 500 only
+        real_sample = UniformCube.sample
+
+        def sample(self, n, seed):
+            if seed == 78 or (seed == 87 and n == 500):
+                raise RuntimeError("stub failure")
+            return real_sample(self, n, seed)
+
+        monkeypatch.setattr(UniformCube, "sample", sample)
+        monkeypatch.setenv("KDERATES_WORKERS", "1")
+        cfg = small_rate_config(n_list=[500, 2000], replicates=11, h_grid={"l_n": 0.1, "h_max": 0.4, "n_points": 2})
+        report = run(cfg, tmp_path / "a")
+        alive = {500: [0, *range(2, 10)], 2000: [0, *range(2, 11)]}
+        assert report.seeds == [77, *range(79, 88)]
+        rows = (tmp_path / "a" / "replicates.csv").read_text().splitlines()[1:]
+        for n, want in alive.items():
+            for h in report.h_values:
+                sups = report.cell(n, h).sups
+                got = [(int(r), float(v)) for n_, h_, r, v in (row.split(",") for row in rows) if int(n_) == n and float(h_) == h]
+                assert got == [(r, float(v)) for r, v in zip(want, sups)], (n, h)
+        # a replicate's sup keeps its label at every n: replicate 2 is the second value at n = 500
+        with monkeypatch.context() as patch:
+            patch.setattr(UniformCube, "sample", real_sample)
+            whole = run(cfg, tmp_path / "whole")
+        for c in report.cells:
+            assert list(c.sups) == [whole.cell(c.n, c.h).sups[r] for r in c.replicate_ids]
+        loaded = DeviationReport.load(tmp_path / "a" / "report.json")
+        assert loaded.seeds == report.seeds
+        assert [c.replicate_ids for c in loaded.cells] == [c.replicate_ids for c in report.cells]
+        loaded.write(tmp_path / "b")
+        for name in ("report.json", "summary.csv", "replicates.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert "replicates" not in json.loads((tmp_path / "whole" / "report.json").read_text())["cells"][0]
+
+
+class TestWorkers:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The max_workers of every pool the harness opens; a stand-in pool runs each task at submit, in this process."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "workers, n_list, replicates, want",
+        [("64", [2000], 2, [2]), ("2", [2000], 3, [2]), ("64", [500, 2000], 3, [6]), ("1", [2000], 3, [])],
+    )
+    def test_pool_never_larger_than_the_tasks(self, sizes, tmp_path, monkeypatch, workers, n_list, replicates, want):
+        monkeypatch.setenv("KDERATES_WORKERS", workers)
+        run(small_rate_config(n_list=n_list, replicates=replicates), tmp_path)
+        assert sizes == want
+
+    @pytest.mark.parametrize("cores, want", [(3, 3), (20, 8)])
+    def test_default_from_cpu_affinity(self, monkeypatch, cores, want):
+        monkeypatch.delenv("KDERATES_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert harness._workers() == want
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+    def test_not_a_positive_integer(self, sizes, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("KDERATES_WORKERS", value)
+        with pytest.raises(ValueError, match=f"KDERATES_WORKERS must be a positive integer, got '{value}'"):
+            run(small_rate_config(), tmp_path)
+        assert sizes == []
 
 
 class TestFitRate:
@@ -490,7 +580,7 @@ class TestCli:
             [sys.executable, "-m", "kderates", "simulate", "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
-            env={**__import__("os").environ, "KDERATES_WORKERS": "1"},
+            env={**os.environ, "KDERATES_WORKERS": "1", "PYTHONPATH": _SRC},
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.csv").exists()
@@ -749,6 +839,42 @@ _GOLDEN_SHA256 = {
         "voldim.json": "9dc8b60498086af347f82c5c49a39f39da29597312a5af6b2a70ed56a587ad01",
     },
 }
+
+
+# validates the configs on stdin in a fresh interpreter, lists the lazily
+# loaded modules already present, then computes one ball oracle cell and one
+# empirical voldim sweep, printed as hex
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import kderates
+from kderates.harness import ExperimentConfig
+for cfg in json.load(sys.stdin):
+    ExperimentConfig.from_dict(cfg)
+print(json.dumps([m for m in {lazy!r} if m in sys.modules]))
+ball = kderates.UnboundedBall(2, 1.0)
+cell = ball.smoothed_density(kderates.Kernel.gaussian(2), 0.2, np.array([0.3, 0.4]))
+sweep = kderates.voldim_sweep(ball.sample(2000, 3), ball.special_points(), [0.05, 0.1, 0.2])
+print(json.dumps([cell.hex(), *(float(p).hex() for p in sweep.sup_probs)]))
+"""
+_LAZY_MODULES = ["scipy.integrate", "scipy.special", "scipy.spatial", "scipy.optimize", "scipy.sparse", "yaml"]
+
+
+def test_import_and_validation_load_no_scipy_submodule_or_yaml():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(lazy=_LAZY_MODULES)],
+        input=json.dumps(list(_GOLDEN_CONFIGS.values())),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, values = (json.loads(line) for line in proc.stdout.splitlines())
+    assert loaded == []
+    ball = kderates.UnboundedBall(2, 1.0)
+    sweep = kderates.voldim_sweep(ball.sample(2000, 3), ball.special_points(), [0.05, 0.1, 0.2])
+    cell = ball.smoothed_density(Kernel.gaussian(2), 0.2, np.array([0.3, 0.4]))
+    assert values == [cell.hex(), *(float(p).hex() for p in sweep.sup_probs)]
 
 
 def test_modes_table_covers_golden_and_cli():
