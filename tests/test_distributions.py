@@ -408,8 +408,9 @@ class TestSmoothedDerivative:
         "dist, cells", [(UniformCircle(1.0), 10), (UniformSphere(2), 3), (UnboundedBall(2, 1.0), 6)], ids=["circle", "sphere2", "ball"]
     )
     def test_closed_form_matches_vector_quadrature(self, dist, cells):
-        # seeded cells with |s| <= 2 against the vector quadrature of D^s phi_h:
-        # the two routes' claimed errors together cover the gap
+        # seeded cells with |s| <= 2 against the vector quadrature of D^s phi_h,
+        # within its claimed error plus 1e-14 of max(|value|, 1); and the two
+        # routes' claimed errors together cover the gap
         d = dist.ambient_dim
         kern = Kernel.gaussian(d)
         orders = [s for s in itertools.product(range(3), repeat=d) if sum(s) <= 2]
@@ -420,6 +421,7 @@ class TestSmoothedDerivative:
             got, claimed = dist._radial_pushforward(dist_module._gauss_sphere(x, h, MultiIndex(s)))
             assert got == dist.smoothed_derivative(kern, s, h, x)
             want, err = dist._expect_vector(x, lambda V: kern.deriv_eval_many(s, np.asarray(V) / h) / h ** (d + sum(s)))
+            assert abs(got - want) <= err + 1e-14 * max(abs(want), 1.0), (x, s, h)
             assert abs(got - want) - err <= claimed, (x, s, h)
 
     def test_closed_form_claims_its_cancellation(self):
