@@ -68,8 +68,9 @@ __all__ = [
 _TINY = 1e-14
 # the absolute accuracy every quadrature asks QUADPACK for
 _EPSABS = 1e-12
+_EPS = sys.float_info.epsilon
 # the rounding of a closed form's j-sum, per unit of the sum of the terms' magnitudes
-_SUM_ULPS = 8.0 * sys.float_info.epsilon
+_SUM_ULPS = 8.0 * _EPS
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -390,7 +391,9 @@ def _gauss_sphere(x, h: float, s: MultiIndex):
 
     at(rho) returns (value, error).  The j-terms are of size p_h / h^(2j)
     and cancel to a value of size p_h / h^|s|, so the error is a few ulps of
-    the sum of their magnitudes.
+    the sum of their magnitudes; and far from the sphere the rounding of
+    the exponent y = (m - rho)^2 / (2 h^2), of z and of m moves the whole
+    value by (y + z + m |m - rho| / h^2) ulps.
     """
     d, h2 = len(x), h * h
     nu = d / 2.0 - 1.0
@@ -406,7 +409,7 @@ def _gauss_sphere(x, h: float, s: MultiIndex):
             b[j] += w * math.comb(n, j) * (-1.0 / h2) ** (n - j)
     # per j: b[j], j, the Bessel order nu + j and the limit of z^-(nu+j) I_(nu+j) at 0
     terms = [(bj, j, nu + j, 1.0 / (2.0 ** (nu + j) * math.gamma(nu + j + 1.0))) for j, bj in enumerate(b)]
-    h4, c_err, ive = h2 * h2, _SUM_ULPS * c, scipy.special.ive
+    h4, m_h2, ive = h2 * h2, m / h2, scipy.special.ive
 
     def at(rho):
         z = m * rho / h2
@@ -416,8 +419,9 @@ def _gauss_sphere(x, h: float, s: MultiIndex):
             t = bj * r**j * (float(ive(order, z)) * z**-order if z > 0.0 else limit)
             total += t
             size += abs(t)
-        g = math.exp(-0.5 * (m - rho) ** 2 / h2)
-        return c * total * g, c_err * size * g
+        y = 0.5 * (m - rho) ** 2 / h2
+        g = math.exp(-y)
+        return c * total * g, c * g * (_SUM_ULPS * size + _EPS * (y + z + m_h2 * abs(m - rho)) * abs(total))
 
     return at
 

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -432,6 +433,25 @@ class TestSmoothedDerivative:
         value, claimed = dist._radial_pushforward(dist_module._gauss_sphere(x, h, MultiIndex((0, 2))))
         assert value == dist.smoothed_derivative(GAUSS2, (0, 2), h, x)
         assert claimed > 0.0 and claimed >= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize(
+        "x, s, bits, exact",
+        [
+            ((1.0354, -1.1253), (0, 0), "0x1.2ed76a19fe090p-81", "4.892667707972913050098841248632649747047e-25"),
+            ((1.2935, -0.1788), (1, 0), "-0x1.11904e34e3302p-20", "-1.019104172803008226510920030442418057031e-6"),
+        ],
+        ids=["s00", "s10"],
+    )
+    def test_closed_form_claims_its_far_field_rounding(self, x, s, bits, exact):
+        # circle cells at h = 0.05 far from the circle, against 40-digit values
+        # on which mpmath's Bessel form and its angle quadrature agree: the
+        # rounding of the exponent and of ||x|| moves such a cell by many ulps,
+        # and the claimed error must cover it
+        dist, x = UniformCircle(1.0), np.array(x)
+        value, claimed = dist._radial_pushforward(dist_module._gauss_sphere(x, 0.05, MultiIndex(s)))
+        assert value == dist.smoothed_derivative(GAUSS2, s, 0.05, x) == float.fromhex(bits)
+        with decimal.localcontext(prec=80):
+            assert abs(decimal.Decimal(value) - decimal.Decimal(exact)) <= decimal.Decimal(claimed)
 
     @pytest.mark.parametrize("dist", [UniformSphere(3), UnboundedBall(4, 1.5)], ids=["sphere3", "ball4"])
     def test_four_dimensional_derivatives_match_finite_differences(self, dist):
