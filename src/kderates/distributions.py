@@ -19,14 +19,16 @@
 #                   closed form in Bessel functions per sphere (_gauss_sphere)
 #                   pushed forward over the radius on the sphere and the ball,
 #                   and the weighted sum of the component tables on mixtures
-#   _moment_table   point masses, cube + Gaussian derivatives (products of
-#                   1-D quadratures), and mixtures (the same weighted sum)
-# A Gaussian moment with s = 0 is a rescaled p_h table.  Every other cell is
-# one certified quadrature over the distance, or over the polar angle and
-# the radius, except an s != 0 moment on a sphere or ball: a vector
-# quadrature.  Ball probabilities are closed form, except off the ball's
-# centre and on the cube in d >= 3.  On the ball and the sphere an s = 0 cell
-# reads x only through ||x||, so each row computes it once per distinct norm.
+#   _moment_table   point masses, mixtures (the same weighted sum), spheres
+#                   and balls (below), and cube derivatives at k not even
+# A Gaussian moment E|D^s K|^k is a sum of D^t p_(h/sqrt(k)) cells by Hermite
+# linearisation (_gaussian_moment_terms): at s = 0 one rescaled p_h table for
+# any k > 0; else, for even k, exact cube tables or, on a sphere or ball, one
+# sum of closed forms per radius.  Every other cell is one certified
+# quadrature over the distance, or over the polar angle and the radius.  Ball
+# probabilities are closed form, except off the ball's centre and on the cube
+# in d >= 3.  On the ball and the sphere an s = 0 cell reads x only through
+# ||x||, so each row computes it once per distinct norm.
 #
 # The scalar quadrature callbacks take and return Python floats: a radial
 # integrand is a float function of the distance, built on Kernel.radial,
@@ -46,13 +48,13 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from functools import partialmethod
 from typing import Sequence
 
 import numpy as np
 import scipy
 
-from .kernels import Kernel, MultiIndex, QuadratureError, _gaussian_deriv_monomials, _phi_deriv, unit_ball_volume
+from .kernels import Kernel, MultiIndex, QuadratureError, unit_ball_volume
+from .kernels import _gaussian_deriv_monomials, _gaussian_moment_terms, _phi_deriv
 
 __all__ = [
     "ReferenceDistribution",
@@ -215,10 +217,11 @@ class ReferenceDistribution:
     def moment_table(self, kernel: Kernel, s, h_values, X, k: float) -> np.ndarray:
         """E[ |D^s K((x - X)/h)|^k ] over a bandwidth list and point rows; shape (len(h), len(X)).
 
-        Cells without an exact table route are filled by certified quadrature
-        to a relative accuracy.  A cell whose error is within the absolute
-        accuracy the quadrature is asked for is certified too, so a negligible
-        moment does not fail the table.
+        A Gaussian moment with s != 0 needs an even integer k, except on the
+        cube and on point masses.  Cells without an exact route are filled by
+        certified quadrature to a relative accuracy.  A cell whose error is
+        within the absolute accuracy the quadrature is asked for is certified
+        too, so a negligible moment does not fail the table.
         """
         if not k > 0:
             raise ValueError("k must be positive")
@@ -233,18 +236,16 @@ class ReferenceDistribution:
             hp = h_values / math.sqrt(k)
             scale = np.array([c * float(v) ** d for v in hp])
             return scale[:, None] * self.smoothed_density_table(kernel, hp, X)
+        if not s.is_zero():
+            # the Gaussian's derivatives: a sum of exact D^t p_(h/sqrt(k)) tables
+            if k % 2 != 0:
+                raise ValueError(f"the {self.kind} Gaussian moment with s != 0 needs an even integer k, got {k}")
+            terms, hs = _gaussian_moment_terms(s.orders, int(k)), h_values / math.sqrt(k)
+            return sum((b * h_values ** (s.dim + t.order))[:, None] * self._table(kernel, t, hs, X) for t, b in terms)
 
         power = self._radial_power
-
-        def integrand(h):
-            if s.is_zero():
-                return lambda rr: power(kernel.radial(rr / h), k)
-            return lambda V: np.abs(kernel.deriv_eval_many(s, np.asarray(V) / h)) ** k
-
-        cell = self._expect_radial if s.is_zero() else self._expect_vector
-        floor = _EPSABS / self._moment_tol
-        rows = [integrand(float(h)) for h in h_values]
-        return self._fill(rows, X, cell, self._moment_tol, "moment_k", floor, radial=s.is_zero())
+        rows = [lambda rr, h=float(h): power(kernel.radial(rr / h), k) for h in h_values]
+        return self._fill(rows, X, self._expect_radial, self._moment_tol, "moment_k", _EPSABS / self._moment_tol, radial=True)
 
     # -- geometry hooks --------------------------------------------------------
 
@@ -322,59 +323,27 @@ class ReferenceDistribution:
         """(E[g(||x - X||)], error bound); g maps a float distance to a float."""
         raise NotImplementedError
 
-    def _expect_vector(self, x: np.ndarray, f) -> tuple[float, float]:
-        """(E[f(x - X)], error bound); f acts on rows."""
-        raise NotImplementedError
 
+def _sphere_average(x, rho: float, q: int, g) -> tuple[float, float]:
+    """(average of g(||x - y||) over y on the sphere of radius rho about 0 in R^(q+1), error bound).
 
-def _sphere_average(x, rho: float, q: int, f, radial: bool) -> tuple[float, float]:
-    """(average over y on the sphere of radius rho about 0 in R^(q+1), error bound).
-
-    With ``radial`` the integrand is g(||x - y||), reduced to the polar angle
-    for any q; otherwise it is f acting on rows x - y, implemented for
-    q <= 2.  q = 0 is the pair of points -rho and rho on the line.
+    The integrand is reduced to the polar angle; q = 0 is the pair of points
+    -rho and rho on the line.
     """
-    if radial:
-        m = float(np.linalg.norm(x))
-        if m < _TINY:
-            return float(f(rho)), 0.0
-        if q == 0:
-            return 0.5 * (float(f(abs(m - rho))) + float(f(m + rho))), 0.0
-        Z = math.sqrt(math.pi) * math.gamma(q / 2.0) / math.gamma((q + 1) / 2.0)  # int_0^pi sin^(q-1)
-
-        def ang(theta):
-            dist = math.sqrt(max(0.0, m * m + rho * rho - 2.0 * m * rho * math.cos(theta)))
-            w = math.sin(theta) ** (q - 1) if q > 1 else 1.0
-            return float(f(dist)) * w
-
-        v, e = _quad(ang, 0.0, math.pi)
-        return v / Z, e / Z
+    m = float(np.linalg.norm(x))
+    if m < _TINY:
+        return float(g(rho)), 0.0
     if q == 0:
-        return 0.5 * (float(f(np.array([[x[0] - rho]]))[0]) + float(f(np.array([[x[0] + rho]]))[0])), 0.0
-    if q == 1:
+        return 0.5 * (float(g(abs(m - rho))) + float(g(m + rho))), 0.0
+    Z = math.sqrt(math.pi) * math.gamma(q / 2.0) / math.gamma((q + 1) / 2.0)  # int_0^pi sin^(q-1)
 
-        def ang(theta):
-            return float(f(np.array([[x[0] - rho * math.cos(theta), x[1] - rho * math.sin(theta)]]))[0])
+    def ang(theta):
+        dist = math.sqrt(max(0.0, m * m + rho * rho - 2.0 * m * rho * math.cos(theta)))
+        w = math.sin(theta) ** (q - 1) if q > 1 else 1.0
+        return float(g(dist)) * w
 
-        v, e = _quad(ang, 0.0, 2.0 * math.pi)
-        return v / (2.0 * math.pi), e / (2.0 * math.pi)
-    if q == 2:
-        inner_errs = []
-
-        def outer(theta):
-            def az(phi):
-                y = rho * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-                return float(f((x - y).reshape(1, -1))[0])
-
-            v, e = _quad(az, 0.0, 2.0 * math.pi)
-            inner_errs.append(e)
-            return v * math.sin(theta)
-
-        v, e = _quad(outer, 0.0, math.pi)
-        # each inner error enters weighted by sin(theta), which integrates to 2
-        scale = 4.0 * math.pi
-        return v / scale, (e + 2.0 * max(inner_errs, default=0.0)) / scale
-    raise NotImplementedError("the vector sphere quadrature, which serves only s != 0 moments, is implemented for q <= 2")
+    v, e = _quad(ang, 0.0, math.pi)
+    return v / Z, e / Z
 
 
 def _gauss_sphere(x, h: float, s: MultiIndex):
@@ -446,12 +415,28 @@ class _SphereMixture(ReferenceDistribution):
         what = "smoothed_density" if s.is_zero() else "smoothed_derivative"
         return self._fill([float(h) for h in h_values], X, cell, self._density_tol, what, radial=s.is_zero())
 
-    def _expect_sphere_mixture(self, x, f, radial) -> tuple[float, float]:
-        q = self.ambient_dim - 1
-        return self._radial_pushforward(lambda rho: _sphere_average(x, rho, q, f, radial))
+    def _moment_table(self, kernel, s, h_values, X, k):
+        # a Gaussian moment with s != 0 and even k sums the closed forms of its
+        # D^t p_(h/sqrt(k)) terms per radius and is certified once: a D^t p
+        # cell alone can claim more error than the density target allows
+        if kernel.form != "gaussian" or s.is_zero() or k % 2 != 0:
+            return None
+        terms = _gaussian_moment_terms(s.orders, int(k))
 
-    _expect_radial = partialmethod(_expect_sphere_mixture, radial=True)
-    _expect_vector = partialmethod(_expect_sphere_mixture, radial=False)
+        def cell(x, h):
+            closed = [(b * h ** (s.dim + t.order), _gauss_sphere(x, h / math.sqrt(k), t)) for t, b in terms]
+
+            def inner(rho):
+                vals = [(coef, *at(rho)) for coef, at in closed]
+                return sum(c * v for c, v, _ in vals), sum(abs(c) * (e + _SUM_ULPS * abs(v)) for c, v, e in vals)
+
+            return self._radial_pushforward(inner)
+
+        return self._fill([float(h) for h in h_values], X, cell, self._moment_tol, "moment_k", _EPSABS / self._moment_tol)
+
+    def _expect_radial(self, x, g):
+        q = self.ambient_dim - 1
+        return self._radial_pushforward(lambda rho: _sphere_average(x, rho, q, g))
 
 
 class UniformCube(ReferenceDistribution):
@@ -516,17 +501,27 @@ class UniformCube(ReferenceDistribution):
         return out
 
     def _moment_table(self, kernel, s, h_values, X, k):
-        if kernel.form != "gaussian" or s.is_zero():
+        # a Gaussian moment with s != 0 and k not an even integer: |D^s K|^k
+        # factorises, and coordinate j gives h times the integral of
+        # |phi^(s_j)(u)|^k over u = (x_j - y)/h in [(x_j - 1)/h, x_j/h], clipped
+        # where exp(-k u^2/2) < e^-750 outweighs |He_(s_j)(u)|^k, broken at u = 0
+        if kernel.form != "gaussian" or s.is_zero() or k % 2 == 0:
             return None
-        # |D^s K|^k factorizes over coordinates on a product domain
-        out = np.ones((h_values.size, X.shape[0]))
-        for i, h in enumerate(h_values):
-            h = float(h)
-            for j, x in enumerate(X):
-                for order, t in zip(s.orders, x):
-                    v, _ = _quad(lambda y, o=order, tt=t: abs(float(_phi_deriv(o, (tt - y) / h))) ** k, 0.0, 1.0)
-                    out[i, j] *= v
-        return out
+        norm = (2.0 * math.pi) ** (-k / 2.0)
+        # per coordinate: the cut-off, and phi^(o) as the sum of c u^e phi over its monomials
+        axes = [(2.0 * o + math.sqrt(1500.0 / k), _gaussian_deriv_monomials((o,))) for o in s.orders]
+
+        def cell(x, h):
+            val = bound = 1.0  # the product, and the product of the factors' value + error
+            for (cut, mono), t in zip(axes, x):
+                f = lambda u: abs(sum(c * u**e for (e,), c in mono)) ** k * math.exp(-0.5 * k * u * u) * norm
+                a, b = max((t - 1.0) / h, -cut), min(t / h, cut)
+                v, e = _quad(f, a, b, points=[0.0] if a < 0.0 < b else None) if a < b else (0.0, 0.0)
+                val *= h * v
+                bound *= h * (v + e)
+            return val, bound - val
+
+        return self._fill([float(h) for h in h_values], X, cell, self._moment_tol, "moment_k", _EPSABS / self._moment_tol)
 
     # v ** k as numpy's array power: an exact square for k = 2, np.power
     # otherwise.  The cube's golden and pinned moments hold these bits.

@@ -28,7 +28,7 @@ from itertools import product as _iterproduct
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import hermite_e
+from numpy.polynomial import hermite_e, polynomial
 
 __all__ = [
     "Kernel",
@@ -122,6 +122,27 @@ def _gaussian_deriv_monomials(orders: tuple[int, ...]) -> tuple[tuple[tuple[int,
         coeffs = (-1.0) ** k * hermite_e.herme2poly(_herme_coeffs(k))
         axes.append([(e, float(c)) for e, c in enumerate(coeffs) if c != 0.0])
     return tuple((tuple(e for e, _ in combo), math.prod(c for _, c in combo)) for combo in _iterproduct(*axes))
+
+
+@lru_cache(maxsize=None)
+def _gaussian_moment_terms(orders: tuple[int, ...], k: int) -> tuple[tuple[MultiIndex, float], ...]:
+    """|D^s K(u)|^k = sum of b * D^t phi_sigma(u) over the returned (t, b), for the Gaussian K and even k.
+
+    sigma = 1/sqrt(k), and phi^k = c phi_sigma per coordinate with
+    c = (2 pi)^(-(k-1)/2) / sqrt(k).  He_s(u)^k = sum_t a_t He_t(u/sigma), and
+    He_t(u/sigma) phi_sigma(u) = (-sigma)^t phi_sigma^(t)(u), so b is c^d times
+    the product over coordinates of a_t sigma^t; He_s^k is even, so every t is.
+    As E[D^t phi_sigma((x - X)/h)] = h^(d+|t|) D^t p_(sigma h)(x), a Gaussian
+    moment E|D^s K((x - X)/h)|^k is the sum of b h^(d+|t|) D^t p_(h/sqrt(k))(x).
+    """
+    sigma2, c = 1.0 / k, (2.0 * math.pi) ** (-(k - 1.0) / 2.0) / math.sqrt(k)
+    axes = []
+    for o in orders:
+        p = polynomial.polypow(hermite_e.herme2poly(_herme_coeffs(o)), k)
+        # u^j = sigma^j (u/sigma)^j, and only even j have a nonzero coefficient
+        a = hermite_e.poly2herme(p * sigma2 ** (np.arange(p.size) // 2))
+        axes.append([(t, c * float(a_t) * sigma2 ** (t // 2)) for t, a_t in enumerate(a) if a_t != 0.0])
+    return tuple((MultiIndex(tuple(t for t, _ in combo)), math.prod(b for _, b in combo)) for combo in _iterproduct(*axes))
 
 
 def _phi_deriv(k: int, t: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from kderates.distributions import (
 from kderates.dimension import dyadic_radii
 from kderates.harness import ExperimentConfig, run
 from kderates.kde import make_eval_grid
-from kderates.kernels import Kernel, MultiIndex
+from kderates.kernels import Kernel, MultiIndex, _phi_deriv
 
 
 GAUSS1 = Kernel.gaussian(1)
@@ -104,6 +104,16 @@ def _vector_expectation(dist, x, f):
     """(E[f(x - X)], error bound) on a circle, S^2 or 2-D ball, through the distribution's radius pushforward."""
     q = dist.ambient_dim - 1
     return dist._radial_pushforward(lambda rho: _vector_sphere_average(x, rho, q, f))
+
+
+def _cube_moment_reference(x, s, h, k):
+    """(E|D^s K((x - X)/h)|^k on the unit cube, error bound): one 1-D quadrature over y per coordinate."""
+    val = bound = 1.0
+    for o, t in zip(s, x):
+        v, e = dist_module._quad(lambda y: abs(float(_phi_deriv(o, (t - y) / h))) ** k, 0.0, 1.0)
+        val *= v
+        bound *= v + e
+    return val, bound - val
 
 
 class TestSampling:
@@ -593,6 +603,54 @@ class TestMomentK:
         assert len(report["values"]) == 4
         assert all(0.0 < v < GAUSS2.deriv_sup_norm((1, 0)) ** 2 for v in report["values"])
 
+    @pytest.mark.parametrize(
+        "dist, cells", [(UniformCircle(1.0), 8), (UniformSphere(2), 2), (UnboundedBall(2, 1.0), 4), (UniformCube(2), 8)],
+        ids=["circle", "sphere2", "ball", "cube2"],
+    )
+    def test_linearised_derivative_moment_matches_quadrature(self, dist, cells):
+        # seeded k = 2 cells with 1 <= |s| <= 2 against a quadrature of
+        # |D^s K|^2 itself, within its claimed error plus 1e-14 of max(|value|, 1)
+        d = dist.ambient_dim
+        kern = Kernel.gaussian(d)
+        orders = [s for s in itertools.product(range(3), repeat=d) if 1 <= sum(s) <= 2]
+        rng = np.random.default_rng(21)
+        for _ in range(cells):
+            x, s = rng.uniform(-1.1, 1.2, size=d), orders[rng.integers(len(orders))]
+            h = float(rng.choice([0.1, 0.2, 0.4]))
+            got = dist.moment_k(kern, x, h, 2.0, s)
+            if dist.kind == "uniform_cube":
+                want, err = _cube_moment_reference(x, s, h, 2.0)
+            else:
+                want, err = _vector_expectation(dist, x, lambda V: kern.deriv_eval_many(s, np.asarray(V) / h) ** 2)
+            assert abs(got - want) <= err + 1e-14 * max(abs(want), 1.0), (x, s, h)
+
+    @pytest.mark.parametrize("dist", [UniformSphere(3), UnboundedBall(4, 1.5)], ids=["sphere3", "ball4"])
+    def test_four_dimensional_derivative_moment_at_centre(self, dist):
+        # at x = 0 the sphere of radius rho sees |D^(1,0,0,0) K|^2 = u_1^2 phi_4(u)^2 at
+        # |u| = rho/h, and u_1^2 averages to (rho/h)^2 / 4
+        h = 0.3
+
+        def on_sphere(rho):
+            return (math.exp(-0.5 * (rho / h) ** 2) / (2.0 * math.pi) ** 2) ** 2 * rho**2 / (4.0 * h * h), 0.0
+
+        want, _ = dist._radial_pushforward(on_sphere)
+        got = dist.moment_k(Kernel.gaussian(4), np.zeros(4), h, 2.0, (1, 0, 0, 0))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_derivative_moment_on_a_sphere_needs_even_k(self):
+        with pytest.raises(ValueError, match="even"):
+            UniformSphere(2).moment_k(GAUSS3, np.array([0.3, 0.2, 0.9]), 0.2, 3.0, (1, 0, 0))
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("k", [2.0, 3.0])
+    def test_cube_derivative_moment_at_small_h(self, k, h):
+        # at an interior x the support covers the spike of width h whole:
+        # h times the integral over R of |phi'(u)|^k, which is
+        # 1/(4 sqrt(pi)) at k = 2 and (4/9) (2 pi)^(-3/2) at k = 3
+        integral = 1.0 / (4.0 * math.sqrt(math.pi)) if k == 2.0 else 4.0 / 9.0 * (2.0 * math.pi) ** -1.5
+        got = UniformCube(1).moment_k(GAUSS1, np.array([0.3]), h, k, (1,))
+        assert got == pytest.approx(integral * h, rel=1e-9)
+
     def test_circle_moment_scaling_slope(self):
         dist = UniformCircle(1.0)
         x = np.array([1.0, 0.0])
@@ -619,6 +677,18 @@ _ONE_BY_ONE_CASES = [
 _MOMENT_ROUTES = [
     ("cube2_gaussian_derivative", lambda: UniformCube(2), GAUSS2, (1, 0), 2.0, [0.1, 0.3], [[0.2, 0.5], [0.9, 0.1], [1.1, -0.05]]),
     ("circle_gaussian_rescaled", lambda: UniformCircle(1.0), GAUSS2, None, 2.0, [0.1, 0.3], [[1.0, 0.0], [0.3, 0.8], [0.0, 0.0]]),
+    ("circle_gaussian_derivative", lambda: UniformCircle(1.0), GAUSS2, (1, 0), 2.0, [0.1, 0.3], [[1.0, 0.0], [0.3, 0.8], [0.0, 0.0]]),
+    (
+        "sphere2_gaussian_derivative",
+        lambda: UniformSphere(2),
+        GAUSS3,
+        (1, 0, 0),
+        2.0,
+        [0.2, 0.5],
+        [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]],
+    ),
+    ("ball2_gaussian_derivative", lambda: UnboundedBall(2, 1.0), GAUSS2, (0, 1), 2.0, [0.1, 0.4], [[0.0, 0.0], [0.6, 0.5]]),
+    ("cube1_gaussian_derivative_k3", lambda: UniformCube(1), GAUSS1, (1,), 3.0, [0.1, 0.3], [[0.0], [0.45], [1.2]]),
     (
         "point_masses",
         lambda: PointMasses([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.7]], [0.2, 0.3, 0.5]),

@@ -5,7 +5,7 @@ import pytest
 
 from kderates.bounds import covering_bound
 from kderates.kde import discretization_bound
-from kderates.kernels import Kernel, MultiIndex, kernel_from_config
+from kderates.kernels import Kernel, MultiIndex, _gaussian_moment_terms, kernel_from_config
 
 
 def epanechnikov_1d_direct(u):
@@ -108,6 +108,19 @@ class TestDerivatives:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             Kernel.epanechnikov(1).deriv_eval((1,), [0.3])
+
+    @pytest.mark.parametrize("orders, k", [((1,), 2), ((2,), 2), ((3,), 4), ((1, 0), 2), ((2, 1), 2), ((1, 0, 1), 4)])
+    def test_moment_terms_linearise_the_power(self, orders, k):
+        # |D^s K(u)|^k against the sum of b D^t phi_sigma(u), where
+        # D^t phi_sigma(u) = sigma^-(d+|t|) (D^t phi)(u/sigma) and sigma = 1/sqrt(k)
+        d, sigma = len(orders), 1.0 / math.sqrt(k)
+        kern = Kernel.gaussian(d)
+        U = np.random.default_rng(8).uniform(-3.0, 3.0, size=(200, d))
+        want = np.abs(kern.deriv_eval_many(orders, U)) ** k
+        terms = _gaussian_moment_terms(orders, k)
+        got = sum(b * kern.deriv_eval_many(t, U / sigma) / sigma ** (d + t.order) for t, b in terms)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14 * want.max())
+        assert all(t.order % 2 == 0 for t, _ in terms)
 
     def test_deriv_sup_norm_first_order(self):
         # sup |phi'(t)| = phi(1) at t = +-1
