@@ -804,8 +804,8 @@ _GOLDEN_SHA256 = {
         "moments.json": "3f2dbb739202da8d4f7c66f4aa9497d2c5b80a81bd1e7d38120d02ecdb116685",
     },
     "moments_gauss_cube2_s10": {
-        "moments.csv": "f137cd75b4892aba02ee630c657eb80c8266ad310d01e997b3425a2d1dc89d7e",
-        "moments.json": "aa37bcc63e4d70993194b22d0005cc33c73ad93412068ff54af37559c543ae11",
+        "moments.csv": "a39a89cd9eed261d9a864f635c5c65cd4089593b43af877e001b7855e76897cd",
+        "moments.json": "9d66203c143fd91b4263277f5b85c829cf962d05045220fccb8b4310f1d7aa95",
     },
     "moments_gauss_mixture": {
         "moments.csv": "171368cddf88152a3b1c0b71fbf510548f7005ca33cf7b8a66f3c480fbeb7c91",
