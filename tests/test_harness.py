@@ -701,6 +701,7 @@ _GOLDEN_CONFIGS = {
     },
     "moments_gauss_circle": _golden_moments(_CIRCLE, _GAUSS2, x_grid={"target_size": 16}),
     "moments_gauss_cube2_s10": _golden_moments(_CUBE2, _GAUSS2, s=[1, 0]),
+    "moments_gauss_circle_s10": _golden_moments(_CIRCLE, _GAUSS2, s=[1, 0], x_grid={"target_size": 16}),
     "moments_point_masses_s10": _golden_moments(
         {"kind": "point_masses", "locations": [[0.0, 0.0], [0.5, 0.25], [-0.3, 0.7]], "weights": [0.2, 0.3, 0.5]},
         _GAUSS2,
@@ -802,6 +803,10 @@ _GOLDEN_SHA256 = {
     "moments_gauss_circle": {
         "moments.csv": "3e16d1ed623687cb317cce9e3c93700f46d3478568abf2974a7f00e22e8e04f8",
         "moments.json": "3f2dbb739202da8d4f7c66f4aa9497d2c5b80a81bd1e7d38120d02ecdb116685",
+    },
+    "moments_gauss_circle_s10": {
+        "moments.csv": "5f511feb28bae93c1b038ee9193dde700e9394fcb5291aa52209b75cc2d13be8",
+        "moments.json": "7ac55f1be033aa5a61794fe162b92ca3c4d940a3f158566115f2ef331a60281c",
     },
     "moments_gauss_cube2_s10": {
         "moments.csv": "a39a89cd9eed261d9a864f635c5c65cd4089593b43af877e001b7855e76897cd",
