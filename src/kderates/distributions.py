@@ -426,7 +426,7 @@ class _SphereMixture(ReferenceDistribution):
         def cell(x, h):
             closed = [(b * h ** (s.dim + t.order), _gauss_sphere(x, h / math.sqrt(k), t)) for t, b in terms]
 
-            def inner(rho):
+            def inner(rho):  # the sum's own rounding adds a few ulps of each term
                 vals = [(coef, *at(rho)) for coef, at in closed]
                 return sum(c * v for c, v, _ in vals), sum(abs(c) * (e + _SUM_ULPS * abs(v)) for c, v, e in vals)
 
