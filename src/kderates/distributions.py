@@ -21,14 +21,14 @@
 #                   and the weighted sum of the component tables on mixtures
 #   _moment_table   point masses, mixtures (the same weighted sum), spheres
 #                   and balls (below), and cube derivatives at k not even
-# A Gaussian moment E|D^s K|^k is a sum of D^t p_(h/sqrt(k)) cells by Hermite
-# linearisation (_gaussian_moment_terms): at s = 0 one rescaled p_h table for
-# any k > 0; else, for even k, exact cube tables or, on a sphere or ball, one
-# sum of closed forms per radius.  Every other cell is one certified
-# quadrature over the distance, or over the polar angle and the radius.  Ball
-# probabilities are closed form, except off the ball's centre and on the cube
-# in d >= 3.  On the ball and the sphere an s = 0 cell reads x only through
-# ||x||, so each row computes it once per distinct norm.
+# A Gaussian moment E|D^s K|^k is one sum of D^t p_(h/sqrt(k)) cells by
+# Hermite linearisation (_gaussian_moment_terms), for even k, or for any
+# k > 0 at s = 0, where the sum is its one t = 0 term: exact tables, or on a
+# sphere or ball with s != 0 one sum of closed forms per radius.  Every other
+# cell is one certified quadrature over the distance, or over the polar angle
+# and the radius.  Ball probabilities are closed form, except off the ball's
+# centre and on the cube in d >= 3.  On the ball and the sphere an s = 0 cell
+# reads x only through ||x||, so each row computes it once per distinct norm.
 #
 # The scalar quadrature callbacks take and return Python floats: a radial
 # integrand is a float function of the distance, built on Kernel.radial,
@@ -217,8 +217,10 @@ class ReferenceDistribution:
     def moment_table(self, kernel: Kernel, s, h_values, X, k: float) -> np.ndarray:
         """E[ |D^s K((x - X)/h)|^k ] over a bandwidth list and point rows; shape (len(h), len(X)).
 
-        A Gaussian moment with s != 0 needs an even integer k, except on the
-        cube and on point masses.  Cells without an exact route are filled by
+        A Gaussian moment is the sum of b_t h^(d+|t|) D^t p_(h/sqrt(k)) tables
+        of _gaussian_moment_terms; with s != 0 it needs an even integer k,
+        except on the cube and on point masses, whose _moment_table covers
+        the other k.  Cells without an exact route are filled by
         certified quadrature to a relative accuracy.  A cell whose error is
         within the absolute accuracy the quadrature is asked for is certified
         too, so a negligible moment does not fail the table.
@@ -229,22 +231,14 @@ class ReferenceDistribution:
         table = self._moment_table(kernel, s, h_values, X, k)
         if table is not None:
             return table
-        if s.is_zero() and kernel.form == "gaussian":
-            # |K|^k is a rescaled Gaussian: reuse the exact density routes.
-            d = self.ambient_dim
-            c = (2.0 * math.pi) ** (-d * (k - 1.0) / 2.0)
-            hp = h_values / math.sqrt(k)
-            scale = np.array([c * float(v) ** d for v in hp])
-            return scale[:, None] * self.smoothed_density_table(kernel, hp, X)
-        if not s.is_zero():
-            # the Gaussian's derivatives: a sum of exact D^t p_(h/sqrt(k)) tables
-            if k % 2 != 0:
+        if kernel.form == "gaussian":
+            # a sum of exact D^t p_(h/sqrt(k)) tables: the one t = 0 term at s = 0
+            if not s.is_zero() and k % 2 != 0:
                 raise ValueError(f"the {self.kind} Gaussian moment with s != 0 needs an even integer k, got {k}")
-            terms, hs = _gaussian_moment_terms(s.orders, int(k)), h_values / math.sqrt(k)
+            terms, hs = _gaussian_moment_terms(s.orders, k), h_values / math.sqrt(k)
             return sum((b * h_values ** (s.dim + t.order))[:, None] * self._table(kernel, t, hs, X) for t, b in terms)
 
-        power = self._radial_power
-        rows = [lambda rr, h=float(h): power(kernel.radial(rr / h), k) for h in h_values]
+        rows = [lambda rr, h=float(h): kernel.radial(rr / h) ** k for h in h_values]
         return self._fill(rows, X, self._expect_radial, self._moment_tol, "moment_k", _EPSABS / self._moment_tol, radial=True)
 
     # -- geometry hooks --------------------------------------------------------
@@ -301,7 +295,7 @@ class ReferenceDistribution:
             for c, j in enumerate(first.values()):
                 val, err = cell(X[j], row)
                 if err > tol * max(abs(val), floor):
-                    raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target", estimate=val, error=err)
+                    raise QuadratureError(f"{what} quadrature error {err:.2e} exceeds target")
                 out[i, c] = val
         slot = {key: c for c, key in enumerate(first)}
         return out[:, [slot[key] for key in keys]]
@@ -314,10 +308,6 @@ class ReferenceDistribution:
     def _moment_table(self, kernel, s, h_values, X, k):
         """Exact moment table for validated inputs, or None."""
         return None
-
-    # v ** k in a radial moment integrand: the C library's pow, except on the
-    # cube, which overrides it.  The two round differently in the last bit.
-    _radial_power = staticmethod(pow)
 
     def _expect_radial(self, x: np.ndarray, g) -> tuple[float, float]:
         """(E[g(||x - X||)], error bound); g maps a float distance to a float."""
@@ -421,7 +411,7 @@ class _SphereMixture(ReferenceDistribution):
         # cell alone can claim more error than the density target allows
         if kernel.form != "gaussian" or s.is_zero() or k % 2 != 0:
             return None
-        terms = _gaussian_moment_terms(s.orders, int(k))
+        terms = _gaussian_moment_terms(s.orders, k)
 
         def cell(x, h):
             closed = [(b * h ** (s.dim + t.order), _gauss_sphere(x, h / math.sqrt(k), t)) for t, b in terms]
@@ -522,12 +512,6 @@ class UniformCube(ReferenceDistribution):
             return val, bound - val
 
         return self._fill([float(h) for h in h_values], X, cell, self._moment_tol, "moment_k", _EPSABS / self._moment_tol)
-
-    # v ** k as numpy's array power: an exact square for k = 2, np.power
-    # otherwise.  The cube's golden and pinned moments hold these bits.
-    @staticmethod
-    def _radial_power(v, k):
-        return v * v if k == 2.0 else float(np.power(v, k))
 
     def _expect_radial(self, x, g):
         # the distance is the one np.linalg.norm forms: |a| in 1-D, sqrt(a*a + b*b) in 2-D
@@ -744,11 +728,9 @@ class PointMasses(ReferenceDistribution):
     def _table(self, kernel, s, h_values, X):
         d = self.ambient_dim
         diff = X[:, None, :] - self.locations[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         out = np.empty((h_values.size, X.shape[0]))
         for i, h in enumerate(h_values):
-            vals = kernel.profile(r / h) if s.is_zero() else kernel.deriv_eval_many(s, diff / h)
-            out[i] = (vals * self.weights).sum(axis=-1) / h ** (d + s.order)
+            out[i] = (kernel.deriv_eval_many(s, diff / h) * self.weights).sum(axis=-1) / h ** (d + s.order)
         return out
 
     def _moment_table(self, kernel, s, h_values, X, k):
@@ -807,13 +789,9 @@ class Mixture(ReferenceDistribution):
         pts = np.concatenate(parts, axis=0)
         return pts[rng.permutation(n)]
 
-    def _combine(self, values_errors):
-        val = sum(w * v for w, (v, e) in zip(self.weights, values_errors))
-        err = sum(w * e for w, (v, e) in zip(self.weights, values_errors))
-        return float(val), float(err)
-
     def _ball_prob_impl(self, x, r):
-        return self._combine([c._ball_prob_impl(x, r) for c in self.components])
+        val, err = self._weighted(np.array(c._ball_prob_impl(x, r)) for c in self.components)
+        return float(val), float(err)
 
     def _weighted(self, tables):
         acc = None

@@ -44,11 +44,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class QuadratureError(RuntimeError):
     """Raised when a quadrature cannot certify the requested accuracy."""
 
-    def __init__(self, message: str, estimate: float | None = None, error: float | None = None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
-
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the Euclidean unit ball in R^d."""
@@ -125,9 +120,10 @@ def _gaussian_deriv_monomials(orders: tuple[int, ...]) -> tuple[tuple[tuple[int,
 
 
 @lru_cache(maxsize=None)
-def _gaussian_moment_terms(orders: tuple[int, ...], k: int) -> tuple[tuple[MultiIndex, float], ...]:
-    """|D^s K(u)|^k = sum of b * D^t phi_sigma(u) over the returned (t, b), for the Gaussian K and even k.
+def _gaussian_moment_terms(orders: tuple[int, ...], k: float) -> tuple[tuple[MultiIndex, float], ...]:
+    """|D^s K(u)|^k = sum of b * D^t phi_sigma(u) over the returned (t, b), for the Gaussian K.
 
+    k is even, or any k > 0 at s = 0, where He_0^k = 1 and the sum is one term.
     sigma = 1/sqrt(k), and phi^k = c phi_sigma per coordinate with
     c = (2 pi)^(-(k-1)/2) / sqrt(k).  He_s(u)^k = sum_t a_t He_t(u/sigma), and
     He_t(u/sigma) phi_sigma(u) = (-sigma)^t phi_sigma^(t)(u), so b is c^d times
@@ -138,7 +134,7 @@ def _gaussian_moment_terms(orders: tuple[int, ...], k: int) -> tuple[tuple[Multi
     sigma2, c = 1.0 / k, (2.0 * math.pi) ** (-(k - 1.0) / 2.0) / math.sqrt(k)
     axes = []
     for o in orders:
-        p = polynomial.polypow(hermite_e.herme2poly(_herme_coeffs(o)), k)
+        p = polynomial.polypow(hermite_e.herme2poly(_herme_coeffs(o)), k) if o else np.ones(1)
         # u^j = sigma^j (u/sigma)^j, and only even j have a nonzero coefficient
         a = hermite_e.poly2herme(p * sigma2 ** (np.arange(p.size) // 2))
         axes.append([(t, c * float(a_t) * sigma2 ** (t // 2)) for t, a_t in enumerate(a) if a_t != 0.0])
@@ -166,16 +162,16 @@ class Kernel:
     """A bounded kernel on R^d with sup norm, Lipschitz constant and tail profile.
 
     Built-in forms are radial (K(x) = profile(||x||) with a nonincreasing
-    profile), so tail suprema reduce to profile evaluation.  The profile is
-    supplied as ``profile_sq(r2, h, out=None)``: the value
-    profile(sqrt(r2) / h) at squared distance r2 for bandwidth h, written
-    into ``out`` when given (it may be r2 itself) and returned.  The same
-    profile is also supplied as the float function ``radial(r)`` of the
-    distance in bandwidths, equal bit for bit to ``float(profile(r))``; it
-    defaults to that expression.  Only the Gaussian supports partial
-    derivatives (of any order).
+    profile), so the sup norm and the tail suprema are profile values.  Only
+    the Gaussian (form "gaussian") supports partial derivatives, of any order.
 
-    Parameters are normally supplied through the factory classmethods
+    Arguments: ``form``, ``dim``, ``profile_sq(r2, h, out=None)`` (the value
+    profile(sqrt(r2) / h) at squared distance r2 for bandwidth h, written
+    into ``out`` when given, which may be r2 itself, and returned),
+    ``radial(r)`` (the same profile as a float function of the distance in
+    bandwidths, equal bit for bit to ``float(profile(r))``, which None
+    defaults to), ``lipschitz`` (None where K has none) and ``negligible_r2``
+    (below).  They are normally supplied through the factory classmethods
     :meth:`gaussian`, :meth:`epanechnikov`, :meth:`uniform`,
     :meth:`triangular` and :meth:`custom_radial`.
     """
@@ -186,10 +182,7 @@ class Kernel:
         dim: int,
         profile_sq: Callable[[np.ndarray, float, np.ndarray | None], np.ndarray],
         radial: Callable[[float], float] | None,
-        sup_norm: float,
         lipschitz: float | None,
-        deriv_support: float,
-        support_radius: float | None,
         negligible_r2: float = math.inf,
     ):
         if dim < 1:
@@ -198,10 +191,9 @@ class Kernel:
         self.dim = int(dim)
         self._profile_sq = profile_sq
         self.radial = radial if radial is not None else lambda r: float(self.profile(r))
-        self.sup_norm = float(sup_norm)
+        # the profile is nonincreasing, so its value at 0 is the sup
+        self.sup_norm = float(self.radial(0.0))
         self.lipschitz = None if lipschitz is None else float(lipschitz)
-        self.deriv_support = deriv_support
-        self.support_radius = support_radius
         # Squared radius (in bandwidths) from which the profile is below
         # 1e-260 of its peak but still a normal double.  kde_table evaluates
         # farther pairs at this radius, which keeps exp out of its underflow
@@ -227,7 +219,7 @@ class Kernel:
         # |grad K| = ||x|| K(x), maximized on the unit sphere.
         lip = norm * math.exp(-0.5)
         # beyond r^2 = 1200 the profile is below exp(-600) * K(0) ~ 2.7e-261 * K(0)
-        return cls("gaussian", dim, profile_sq, radial, norm, lip, math.inf, None, negligible_r2=1200.0)
+        return cls("gaussian", dim, profile_sq, radial, lip, negligible_r2=1200.0)
 
     @classmethod
     def epanechnikov(cls, dim: int) -> "Kernel":
@@ -241,7 +233,7 @@ class Kernel:
             u = 1.0 - r * r
             return (u if u > 0.0 else 0.0) * _c
 
-        return cls("epanechnikov", dim, profile_sq, radial, c, 2.0 * c, 0, 1.0)
+        return cls("epanechnikov", dim, profile_sq, radial, 2.0 * c)
 
     @classmethod
     def uniform(cls, dim: int) -> "Kernel":
@@ -254,7 +246,7 @@ class Kernel:
         def radial(r, _c=c):
             return _c if r * r <= 1.0 else 0.0
 
-        return cls("uniform", dim, profile_sq, radial, c, None, 0, 1.0)
+        return cls("uniform", dim, profile_sq, radial, None)
 
     @classmethod
     def triangular(cls, dim: int) -> "Kernel":
@@ -268,7 +260,7 @@ class Kernel:
             u = 1.0 - math.sqrt(r * r)
             return (u if u > 0.0 else 0.0) * _c
 
-        return cls("triangular", dim, profile_sq, radial, c, c, 0, 1.0)
+        return cls("triangular", dim, profile_sq, radial, c)
 
     @classmethod
     def custom_radial(
@@ -280,9 +272,9 @@ class Kernel:
     ) -> "Kernel":
         """Kernel from a nonincreasing radial profile [0, inf) -> [0, inf).
 
-        The profile is probed on a grid to validate monotonicity and read
-        off the sup norm.  Without a given Lipschitz constant the kernel has
-        none, as the uniform kernel has none.
+        The profile is probed on [0, support_radius or 50] to check that it is
+        nonnegative, nonincreasing and finite at 0.  Without a given Lipschitz
+        constant the kernel has none, as the uniform kernel has none.
         """
         grid = np.linspace(0.0, support_radius if support_radius else 50.0, 20001)
         vals = np.asarray(profile(grid), dtype=float)
@@ -290,8 +282,7 @@ class Kernel:
             raise ValueError("custom radial profile must be nonnegative")
         if np.any(np.diff(vals) > 1e-12 * max(1.0, float(vals[0]))):
             raise ValueError("custom radial profile must be nonincreasing")
-        sup = float(vals[0])
-        if not math.isfinite(sup):
+        if not math.isfinite(float(vals[0])):
             raise ValueError("custom radial profile must have finite sup norm")
 
         def profile_sq(r2, h, out=None):
@@ -301,7 +292,7 @@ class Kernel:
             out[...] = vals
             return out
 
-        return cls("custom_radial", dim, profile_sq, None, sup, lipschitz, 0, support_radius)
+        return cls("custom_radial", dim, profile_sq, None, lipschitz)
 
     # -- evaluation -------------------------------------------------------
 
@@ -348,7 +339,7 @@ class Kernel:
         Every entry point that takes a derivative order checks it here.
         """
         s = MultiIndex.coerce(s, self.dim)
-        if s.order > self.deriv_support:
+        if s.order > 0 and self.form != "gaussian":
             raise ValueError(f"derivative order |s|={s.order} unsupported by the {self.form} kernel")
         return s
 

@@ -554,16 +554,14 @@ class TestMomentK:
         assert dist.moment_k(kern, x, h, 1.0) == pytest.approx(expected, rel=1e-9)
 
     def test_gaussian_rescaling_vs_direct_quadrature(self):
-        dist = UniformCircle(1.0)
-        x = np.array([1.0, 0.0])
-        h, k = 0.25, 2.0
-        got = dist.moment_k(GAUSS2, x, h, k)
-
-        def g(rr):
-            return GAUSS2.profile(np.asarray(rr) / h) ** k
-
-        direct, _ = dist._expect_radial(x, g)
-        assert got == pytest.approx(direct, rel=1e-8)
+        # k = 1.5 is the one s = 0 moment whose linearisation skips the power of He_0
+        h = 0.25
+        for dist, x in [(UniformCircle(1.0), (1.0, 0.0)), (UniformCube(1), (0.3,)), (UnboundedBall(2, 1.0), (0.3, 0.2))]:
+            kern, x = Kernel.gaussian(dist.ambient_dim), np.array(x)
+            for k in (1.5, 2.0, 3.0):
+                got = dist.moment_k(kern, x, h, k)
+                direct, _ = dist._expect_radial(x, lambda rr: kern.radial(rr / h) ** k)
+                assert got == pytest.approx(direct, rel=1e-8), (dist.kind, k)
 
     @pytest.mark.parametrize(
         "route, make, kern, k, x, h, bits", _PINNED_QUADRATURE, ids=[c[0] for c in _PINNED_QUADRATURE]
@@ -974,6 +972,16 @@ class TestMixtureWeights:
         comps = [UniformCube(1)] * len(weights)
         with pytest.raises(ValueError, match="weights"):
             Mixture(comps, weights)
+
+
+def test_mixture_ball_prob_is_the_weighted_component_tables():
+    # seeded points inside and outside both supports; bit for bit
+    comps, w = [UniformCircle(1.0), UniformCube(2)], np.array([0.35, 0.65])
+    X = np.vstack([np.random.default_rng(5).uniform(-1.3, 1.3, size=(24, 2)), [[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]]])
+    radii = np.linspace(0.05, 0.4, 8)
+    got = Mixture(comps, w).ball_prob_table(radii, X)
+    want = w[0] * comps[0].ball_prob_table(radii, X) + w[1] * comps[1].ball_prob_table(radii, X)
+    assert np.array_equal(got, want)
 
 
 def test_mixture_voldim_is_min():

@@ -43,6 +43,15 @@ class TestEval:
         assert Kernel.uniform(1).sup_norm == pytest.approx(0.5)
         assert Kernel.epanechnikov(2).sup_norm == pytest.approx(2.0 / math.pi)
         assert Kernel.triangular(1).sup_norm == pytest.approx(1.0)
+        # the profile at 0 is each form's normalising constant, bit for bit
+        for d in (1, 2, 3, 4):
+            vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+            assert Kernel.gaussian(d).sup_norm == (2.0 * math.pi) ** (-d / 2.0)
+            assert Kernel.epanechnikov(d).sup_norm == (d + 2.0) / (2.0 * vol)
+            assert Kernel.uniform(d).sup_norm == 1.0 / vol
+            assert Kernel.triangular(d).sup_norm == (d + 1.0) / vol
+        profile = lambda r: 0.7 * np.maximum(1.0 - r, 0.0) ** 3
+        assert Kernel.custom_radial(2, profile, support_radius=1.0).sup_norm == float(profile(np.zeros(1))[0])
 
 
 class TestRadial:
@@ -106,8 +115,10 @@ class TestDerivatives:
             assert k.deriv_eval(tuple(s), u) == pytest.approx(fd_val, abs=1e-5)
 
     def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            Kernel.epanechnikov(1).deriv_eval((1,), [0.3])
+        custom = Kernel.custom_radial(1, lambda r: np.maximum(1.0 - r, 0.0), support_radius=1.0)
+        for k in [Kernel.epanechnikov(1), Kernel.uniform(1), Kernel.triangular(1), custom]:
+            with pytest.raises(ValueError, match=rf"derivative order \|s\|=1 unsupported by the {k.form} kernel"):
+                k.deriv_eval((1,), [0.3])
 
     @pytest.mark.parametrize("orders, k", [((1,), 2), ((2,), 2), ((3,), 4), ((1, 0), 2), ((2, 1), 2), ((1, 0, 1), 4)])
     def test_moment_terms_linearise_the_power(self, orders, k):
