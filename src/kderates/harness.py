@@ -44,6 +44,7 @@ __all__ = [
 
 _WORKERS_ENV = "KDERATES_WORKERS"
 _VOLDIM_SOURCES = ("oracle", "empirical")
+_STATISTICS = ("mean", "median")
 # the keys a config may hold, at the top level and in each section that
 # validate() does not hand whole to a builder with its own key check
 _CONFIG_KEYS = (
@@ -190,6 +191,8 @@ class ExperimentConfig:
             _check_keys(section, self.raw.get(section) or {}, known)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.statistic not in _STATISTICS:
+            raise ValueError(f"statistic must be 'mean' or 'median', got {self.statistic!r}")
         for part in MODES[self.mode].parts:
             part(self)
 
@@ -218,12 +221,37 @@ class ExperimentConfig:
                 bounds_mod.covering_bound(kernel, h, spec["R"], frac * kernel.sup_norm)
         return spec
 
-    def voldim_sources(self) -> list[str]:
-        sources = list(self.raw.get("voldim", {}).get("sources", ["oracle"]))
-        unknown = [v for v in sources if v not in _VOLDIM_SOURCES]
+    def moment_power(self) -> float:
+        """moment.k, the power of E|D^s K|^k (default 2)."""
+        k = float((self.raw.get("moment") or {}).get("k", 2.0))
+        if not k > 0:
+            raise ValueError(f"moment.k must be positive, got {k}")
+        return k
+
+    def voldim_spec(self) -> dict:
+        """The voldim part with defaults filled in; the fit's own checks run here on its radii and window."""
+        v = self.raw.get("voldim") or {}
+        sources = list(v.get("sources", ["oracle"]))
+        unknown = [s for s in sources if s not in _VOLDIM_SOURCES]
         if unknown:
             raise ValueError(f"unknown voldim source(s) {unknown}; choose from {list(_VOLDIM_SOURCES)}")
-        return sources
+        n = int(v.get("n", 100_000))
+        if n < 1:
+            raise ValueError(f"voldim.n must be >= 1, got {n}")
+        if "radii" in v:
+            radii = np.asarray([float(r) for r in v["radii"]])
+        else:
+            j_min, j_max = int(v.get("j_min", 3)), int(v.get("j_max", 8))
+            if j_max < j_min:
+                raise ValueError(f"voldim.j_max must be >= j_min, got j_min={j_min}, j_max={j_max}")
+            radii = dyadic_radii(self.distribution().support_diameter, j_min, j_max)
+        if not np.all(radii > 0):
+            raise ValueError("voldim.radii must be positive")
+        window = tuple(float(w) for w in v["window"]) if v.get("window") else None
+        if window is not None and len(window) != 2:
+            raise ValueError(f"voldim.window must be [r_min, r_max], got {list(window)}")
+        fit_loglog(radii, np.ones(radii.size), window)
+        return {"sources": sources, "n": n, "radii": radii, "window": window}
 
 
 def _check_keys(section: str, given, known, required=()) -> None:
@@ -450,7 +478,7 @@ def _axis_cells(report: DeviationReport, axis: str) -> tuple[list[DeviationCell]
 def fit_rate(report: DeviationReport, axis: str, statistic: str | None = None) -> RateFit:
     """Log-log OLS slope of the chosen replicate statistic along h or n."""
     statistic = statistic or report.statistic
-    if statistic not in ("mean", "median"):
+    if statistic not in _STATISTICS:
         raise ValueError("statistic must be 'mean' or 'median'")
     cells, xs = _axis_cells(report, axis)
     ys = np.array([getattr(c, statistic) for c in cells])
@@ -526,7 +554,7 @@ def _run_moments(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     dist = config.distribution()
     kernel = config.kernel()
     s = config.derivative()
-    k = float(config.raw.get("moment", {}).get("k", 2.0))
+    k = config.moment_power()
     h_grid = config.bandwidth_grid()
     x_grid = config.eval_grid(dist)
     values = dist.moment_table(kernel, s, h_grid.values, x_grid.points, k).max(axis=1)
@@ -550,13 +578,9 @@ def _run_moments(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
 
 def _run_voldim(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
     dist = config.distribution()
-    vcfg = config.raw.get("voldim", {})
+    spec = config.voldim_spec()
     x_grid = config.eval_grid(dist)
-    if "radii" in vcfg:
-        radii = np.asarray([float(r) for r in vcfg["radii"]])
-    else:
-        radii = dyadic_radii(dist.support_diameter, int(vcfg.get("j_min", 3)), int(vcfg.get("j_max", 8)))
-    window = tuple(float(v) for v in vcfg["window"]) if vcfg.get("window") else None
+    radii = spec["radii"]
     report: dict = {
         "schema": "kderates.voldim_report/1",
         "mode": "voldim",
@@ -566,10 +590,10 @@ def _run_voldim(config: ExperimentConfig) -> tuple[dict, dict[str, str]]:
         "fits": {},
     }
     files = {}
-    for source in config.voldim_sources():
-        data = dist if source == "oracle" else dist.sample(int(vcfg.get("n", 100_000)), config.base_seed)
+    for source in spec["sources"]:
+        data = dist if source == "oracle" else dist.sample(spec["n"], config.base_seed)
         sweep = voldim_sweep(data, x_grid, radii)
-        fit = fit_loglog(sweep.radii, sweep.sup_probs, window)
+        fit = fit_loglog(sweep.radii, sweep.sup_probs, spec["window"])
         report["fits"][source] = asdict(fit)
         files[f"sweep_{source}.csv"] = radius_sweep_csv(sweep)
     files["voldim.json"] = dumps_17g(report) + "\n"
@@ -646,9 +670,9 @@ _CAMPAIGN_PARTS = (*_KDE_PARTS, ExperimentConfig.sample_sizes)
 MODES = {
     "rate_in_h": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
     "rate_in_n": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),
-    "moment_scaling": Mode("moments", _KDE_PARTS, _run_moments),
+    "moment_scaling": Mode("moments", (*_KDE_PARTS, ExperimentConfig.moment_power), _run_moments),
     "voldim": Mode(
-        "voldim", (ExperimentConfig.distribution, ExperimentConfig.eval_grid, ExperimentConfig.voldim_sources), _run_voldim
+        "voldim", (ExperimentConfig.distribution, ExperimentConfig.eval_grid, ExperimentConfig.voldim_spec), _run_voldim
     ),
     "bounds": Mode("bounds", (ExperimentConfig.bound_spec,), _run_bounds),
     "covering": Mode("covering", (ExperimentConfig.covering_spec,), _run_covering),

@@ -33,6 +33,13 @@ _RATE_CFG = {
     "statistic": "median",
 }
 
+_MOMENT_CFG = {
+    "mode": "moment_scaling",
+    "distribution": {"kind": "uniform_cube", "dim": 1},
+    "kernel": {"form": "gaussian", "dim": 1},
+    "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
+}
+_VOLDIM_CFG = {"mode": "voldim", "distribution": {"kind": "uniform_circle", "radius": 1.0}}
 
 # the source tree, for subprocesses, which do not inherit pytest's import path
 _SRC = str(Path(kderates.__file__).resolve().parents[1])
@@ -151,6 +158,25 @@ class TestConfig:
     def test_bad_value_rejected_before_run(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict({**_RATE_CFG, **overrides})
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({**_MOMENT_CFG, "moment": {"k": -1}}, "moment.k must be positive"),
+            ({**_MOMENT_CFG, "moment": {"k": "a"}}, "could not convert"),
+            ({**_VOLDIM_CFG, "voldim": {"sources": ["empirical"], "n": 0}}, "voldim.n must be >= 1"),
+            ({**_VOLDIM_CFG, "voldim": {"radii": [-0.1, 0.2, 0.3, 0.4]}}, "voldim.radii must be positive"),
+            ({**_VOLDIM_CFG, "voldim": {"window": [0.1]}}, r"voldim.window must be \[r_min, r_max\]"),
+            ({**_VOLDIM_CFG, "voldim": {"j_min": 8, "j_max": 3}}, "voldim.j_max must be >= j_min"),
+            ({**_RATE_CFG, "statistic": "foo"}, "statistic must be 'mean' or 'median'"),
+        ],
+        ids=["moment.k_negative", "moment.k_string", "voldim.n_zero", "voldim.radii_negative", "voldim.window_short",
+             "voldim.j_reversed", "statistic"],
+    )
+    def test_runner_value_rejected_at_validation(self, cfg, message):
+        # each of these validated once and then failed inside run()
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(cfg)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_readme_config_schema_validates(self, mode):
