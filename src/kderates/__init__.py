@@ -28,7 +28,7 @@ from .distributions import (
     UniformSphere,
     distribution_from_config,
 )
-from .harness import DeviationReport, ExperimentConfig, emit_plots, fit_rate, run
+from .harness import DeviationReport, ExperimentConfig, fit_files, fit_rate, run
 from .kde import (
     BandwidthGrid,
     EvalGrid,
@@ -63,8 +63,8 @@ __all__ = [
     "correlation_dimension_estimate",
     "covering_bound",
     "distribution_from_config",
-    "emit_plots",
     "empirical_covering",
+    "fit_files",
     "fit_loglog",
     "fit_rate",
     "kde_deriv_eval",

@@ -1,20 +1,20 @@
 # cli.py
 # Command-line entry point.  The subcommands are the ones harness.MODES
 # names, plus fit; every one takes --config PATH and --out DIR, and every
-# one but fit takes --seed N (which overrides the config's base_seed).
-# Exit code 0 on success, 2 on failure with a machine-readable JSON error
-# summary on stderr.  simulate exits 1 when replicates failed (they are
+# one but fit takes --seed N, which replaces the config's base_seed and is
+# validated with it.  Each subcommand writes the files its harness function
+# returns.  Exit code 0 on success, 2 on failure with a machine-readable JSON
+# error summary on stderr.  simulate exits 1 when replicates failed (they are
 # listed in the report's failures) unless --allow-failures is given.
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .artifacts import dumps_17g, write_files
-from .harness import MODES, DeviationReport, ExperimentConfig, emit_plots, fit_rate, run
+from .harness import MODES, DeviationReport, ExperimentConfig, fit_files, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,17 +42,11 @@ def _load_config(args) -> tuple[ExperimentConfig, Path]:
 
 
 def _cmd_fit(args) -> int:
-    config, out_dir = _load_config(args)
-    report_path = Path(args.report) if args.report else out_dir / "report.json"
-    report = DeviationReport.load(report_path)
-    axis = args.axis
-    if axis is None:
-        axis = "h" if len({c.h for c in report.cells}) > 1 else "n"
-    fit = fit_rate(report, axis, args.statistic)
-    payload = {k: v for k, v in asdict(fit).items() if k != "r_window"}
-    payload.update(axis=axis, statistic=args.statistic or report.statistic)
-    write_files(out_dir, {f"fit_{axis}.json": dumps_17g(payload) + "\n"})
-    emit_plots(report, out_dir, args.statistic)
+    _, out_dir = _load_config(args)
+    report = DeviationReport.load(Path(args.report) if args.report else out_dir / "report.json")
+    axis = args.axis or ("h" if len({c.h for c in report.cells}) > 1 else "n")
+    fit, files = fit_files(report, axis, args.statistic)
+    write_files(out_dir, files)
     print(f"fit axis={axis} slope={fit.slope:.6g} residual={fit.residual:.3g}")
     return 0
 
@@ -64,7 +58,7 @@ def main(argv=None) -> int:
             return _cmd_fit(args)
         config, out_dir = _load_config(args)
         if args.seed is not None:
-            config.raw["base_seed"] = int(args.seed)
+            config = ExperimentConfig.from_dict({**config.raw, "base_seed": args.seed})
         expected = MODES[config.mode].command
         if args.command != expected:
             raise ValueError(f"config mode {config.mode!r} not valid for '{args.command}' (run it with '{expected}')")

@@ -3,7 +3,10 @@
 # each entry names the mode's CLI subcommand, the config parts validate()
 # builds, and the runner that computes the report and the text of every
 # artifact.  run() looks the mode up, runs it, and writes the files through
-# kderates.artifacts, which alone decides the byte format.
+# kderates.artifacts, which alone decides the byte format; fit_files builds
+# the files of `kderates fit`.  Each config value is read, defaulted (from
+# _SECTIONS) and checked (by _whole, if a whole number) in the one accessor
+# that validate() and its runner both call.
 #
 # Replicate r of a deviation campaign uses seed base_seed + r.  Replicates
 # run on a process pool of at most KDERATES_WORKERS processes (default: the
@@ -38,32 +41,29 @@ __all__ = [
     "DeviationReport",
     "run",
     "fit_rate",
-    "emit_plots",
+    "fit_files",
     "dumps_17g",
 ]
 
 _WORKERS_ENV = "KDERATES_WORKERS"
 _VOLDIM_SOURCES = ("oracle", "empirical")
 _STATISTICS = ("mean", "median")
-# the keys a config may hold, at the top level and in each section that
-# validate() does not hand whole to a builder with its own key check
+# the keys and defaults of each section that validate() does not hand whole
+# to a builder with its own key check; None marks a key with no default
+# value, required (h_grid.l_n) or optional (the others)
+_SECTIONS = {
+    "h_grid": {"l_n": None, "h_max": None, "n_points": None, "points_per_decade": 16},
+    "x_grid": {"target_size": 256},
+    "moment": {"k": 2.0},
+    "voldim": {"sources": ["oracle"], "n": 100_000, "j_min": 3, "j_max": 8, "radii": None, "window": None},
+    "covering": {"R": 1.0, "h_values": [0.1, 0.2, 0.3, 0.5, 0.8], "eta_fracs": [0.05, 0.1, 0.2, 0.4, 0.8],
+                 "grid_size": 64, "q_size": 128},
+}
+# the keys a config may hold at the top level
 _CONFIG_KEYS = (
     "mode", "out_dir", "base_seed", "replicates", "statistic", "n_list", "s", "export_sample_csv",
-    "distribution", "kernel", "h_grid", "x_grid", "moment", "voldim", "bounds", "covering",
+    "distribution", "kernel", "bounds", *_SECTIONS,
 )
-_SECTION_KEYS = {
-    "h_grid": ("l_n", "h_max", "n_points", "points_per_decade"),
-    "x_grid": ("target_size",),
-    "moment": ("k",),
-    "voldim": ("sources", "n", "j_min", "j_max", "radii", "window"),
-}
-_COVERING_DEFAULTS = {
-    "R": 1.0,
-    "h_values": [0.1, 0.2, 0.3, 0.5, 0.8],
-    "eta_fracs": [0.05, 0.1, 0.2, 0.4, 0.8],
-    "grid_size": 64,
-    "q_size": 128,
-}
 
 
 def _workers() -> int:
@@ -77,6 +77,15 @@ def _workers() -> int:
     return min(cores, 8)
 
 
+def _whole(value, name: str, minimum: int) -> int:
+    """value as an int; a bool, a string or a fraction raises ValueError, and so does a value below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # -- configuration --------------------------------------------------------------
 
 
@@ -84,8 +93,8 @@ def _workers() -> int:
 class ExperimentConfig:
     """Parsed and validated experiment description.
 
-    Construct with :meth:`from_dict` or :meth:`from_yaml`; every referenced
-    distribution/kernel spec is instantiated during validation.
+    Construct with :meth:`from_dict` or :meth:`from_yaml`; validation reads
+    every value the mode's runner reads, through the same accessors.
     """
 
     mode: str
@@ -95,34 +104,48 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {tuple(MODES)}")
 
-    # convenience accessors -------------------------------------------------
+    # accessors: each reads, defaults and checks its values -----------------
     @property
     def base_seed(self) -> int:
-        return int(self.raw.get("base_seed", 0))
+        return _whole(self.raw.get("base_seed", 0), "base_seed", 0)
 
     @property
     def replicates(self) -> int:
-        return int(self.raw.get("replicates", 1))
+        return _whole(self.raw.get("replicates", 1), "replicates", 1)
 
     @property
     def statistic(self) -> str:
-        return str(self.raw.get("statistic", "median"))
+        statistic = self.raw.get("statistic", "median")
+        if statistic not in _STATISTICS:
+            raise ValueError(f"statistic must be 'mean' or 'median', got {statistic!r}")
+        return statistic
+
+    @property
+    def export_sample_csv(self) -> bool:
+        export = self.raw.get("export_sample_csv", False)
+        if not isinstance(export, bool):
+            raise ValueError(f"export_sample_csv must be true or false, got {export!r}")
+        return export
 
     @property
     def n_list(self) -> list[int]:
-        return [int(v) for v in self.raw.get("n_list", [])]
+        sizes = self.raw.get("n_list")
+        if not isinstance(sizes, list) or not sizes:
+            raise ValueError(f"n_list must be a nonempty list of positive sample sizes, got {sizes}")
+        return [_whole(n, "each of n_list's positive sample sizes", 1) for n in sizes]
 
     @property
     def s(self) -> tuple[int, ...]:
-        kernel_cfg = self.raw.get("kernel")
-        dim = int(kernel_cfg["dim"]) if kernel_cfg else 1
-        s = self.raw.get("s")
-        return tuple(int(v) for v in s) if s is not None else (0,) * dim
+        return self.derivative().orders
 
     def _section(self, key: str):
         if key not in self.raw:
             raise ValueError(f"mode {self.mode!r} needs a {key!r} section")
         return self.raw[key]
+
+    def _part(self, section: str) -> dict:
+        """The section's values over its _SECTIONS defaults."""
+        return {**_SECTIONS[section], **(self.raw.get(section) or {})}
 
     def distribution(self) -> ReferenceDistribution:
         return distribution_from_config(self._section("distribution"))
@@ -130,40 +153,26 @@ class ExperimentConfig:
     def kernel(self) -> Kernel:
         return kernel_from_config(self._section("kernel"))
 
-    def sample_sizes(self) -> list[int]:
-        if not self.n_list or min(self.n_list) < 1:
-            raise ValueError(f"n_list must be a nonempty list of positive sample sizes, got {self.n_list}")
-        return self.n_list
-
     def derivative(self) -> MultiIndex:
-        return self.kernel().derivative_index(self.s)
+        """s (default zero) as an order the kernel supports."""
+        return self.kernel().derivative_index(self.raw.get("s"))
 
     def bandwidth_grid(self) -> BandwidthGrid:
-        g = self.raw.get("h_grid", {})
-        if "l_n" not in g:
+        g = self._part("h_grid")
+        if g["l_n"] is None:
             raise ValueError("h_grid.l_n is required")
-        l_n = float(g["l_n"])
-        h_max = float(g.get("h_max", 4.0 * self.distribution().support_diameter))
-        n_points = g.get("n_points")
-        per_decade = int(g.get("points_per_decade", 16))
-        return BandwidthGrid.log_spaced(l_n, h_max, None if n_points is None else int(n_points), per_decade)
-
-    def grid_target_size(self) -> int:
-        size = int(self.raw.get("x_grid", {}).get("target_size", 256))
-        if size < 1:
-            raise ValueError(f"x_grid.target_size must be a positive integer, got {size}")
-        return size
+        h_max = 4.0 * self.distribution().support_diameter if g["h_max"] is None else float(g["h_max"])
+        n_points = None if g["n_points"] is None else _whole(g["n_points"], "h_grid.n_points", 1)
+        per_decade = _whole(g["points_per_decade"], "h_grid.points_per_decade", 1)
+        return BandwidthGrid.log_spaced(float(g["l_n"]), h_max, n_points, per_decade)
 
     def eval_grid(self, dist: ReferenceDistribution | None = None) -> EvalGrid:
-        return make_eval_grid(dist or self.distribution(), self.grid_target_size())
-
-    def normalized(self) -> dict:
-        out = {k: v for k, v in self.raw.items() if k != "out_dir"}
-        out["mode"] = self.mode
-        return out
+        return make_eval_grid(dist or self.distribution(), _whole(self._part("x_grid")["target_size"], "x_grid.target_size", 1))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(dumps_17g(self.normalized()).encode()).hexdigest()
+        """sha256 of the config as given, without out_dir and with the parsed mode."""
+        normalized = {k: v for k, v in self.raw.items() if k != "out_dir"}
+        return hashlib.sha256(dumps_17g({**normalized, "mode": self.mode}).encode()).hexdigest()
 
     # construction ------------------------------------------------------------
     @classmethod
@@ -185,15 +194,11 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
-        """Check the config's keys and build every part the mode's runner reads; raises ValueError."""
+        """Check the config's keys and read every value the mode's runner reads; raises ValueError."""
         _check_keys("config", self.raw, _CONFIG_KEYS)
-        for section, known in _SECTION_KEYS.items():
-            _check_keys(section, self.raw.get(section) or {}, known)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.statistic not in _STATISTICS:
-            raise ValueError(f"statistic must be 'mean' or 'median', got {self.statistic!r}")
-        for part in MODES[self.mode].parts:
+        for section, defaults in _SECTIONS.items():
+            _check_keys(section, self.raw.get(section) or {}, defaults)
+        for part in (*_COMMON_PARTS, *MODES[self.mode].parts):
             part(self)
 
     def bound_spec(self) -> bounds_mod.BoundSpec:
@@ -205,15 +210,13 @@ class ExperimentConfig:
     def covering_spec(self) -> dict:
         """The covering part with defaults filled in; the closed-form bound
         is evaluated once per (h, eta) so that its input checks run here."""
-        c = dict(self.raw.get("covering", {}))
-        _check_keys("covering", c, _COVERING_DEFAULTS)
-        c = {**_COVERING_DEFAULTS, **c}
+        c = self._part("covering")
         spec = {
             "R": float(c["R"]),
             "h_values": [float(h) for h in c["h_values"]],
             "eta_fracs": [float(e) for e in c["eta_fracs"]],
-            "grid_size": int(c["grid_size"]),
-            "q_size": int(c["q_size"]),
+            "grid_size": _whole(c["grid_size"], "covering.grid_size", 1),
+            "q_size": _whole(c["q_size"], "covering.q_size", 1),
         }
         kernel = self.kernel()
         for h in spec["h_values"]:
@@ -223,31 +226,29 @@ class ExperimentConfig:
 
     def moment_power(self) -> float:
         """moment.k, the power of E|D^s K|^k (default 2)."""
-        k = float((self.raw.get("moment") or {}).get("k", 2.0))
+        k = float(self._part("moment")["k"])
         if not k > 0:
             raise ValueError(f"moment.k must be positive, got {k}")
         return k
 
     def voldim_spec(self) -> dict:
         """The voldim part with defaults filled in; the fit's own checks run here on its radii and window."""
-        v = self.raw.get("voldim") or {}
-        sources = list(v.get("sources", ["oracle"]))
+        v = self._part("voldim")
+        sources = list(v["sources"])
         unknown = [s for s in sources if s not in _VOLDIM_SOURCES]
         if unknown:
             raise ValueError(f"unknown voldim source(s) {unknown}; choose from {list(_VOLDIM_SOURCES)}")
-        n = int(v.get("n", 100_000))
-        if n < 1:
-            raise ValueError(f"voldim.n must be >= 1, got {n}")
-        if "radii" in v:
+        n = _whole(v["n"], "voldim.n", 1)
+        if v["radii"] is not None:
             radii = np.asarray([float(r) for r in v["radii"]])
         else:
-            j_min, j_max = int(v.get("j_min", 3)), int(v.get("j_max", 8))
+            j_min, j_max = _whole(v["j_min"], "voldim.j_min", 0), _whole(v["j_max"], "voldim.j_max", 0)
             if j_max < j_min:
                 raise ValueError(f"voldim.j_max must be >= j_min, got j_min={j_min}, j_max={j_max}")
             radii = dyadic_radii(self.distribution().support_diameter, j_min, j_max)
         if not np.all(radii > 0):
             raise ValueError("voldim.radii must be positive")
-        window = tuple(float(w) for w in v["window"]) if v.get("window") else None
+        window = tuple(float(w) for w in v["window"]) if v["window"] else None
         if window is not None and len(window) != 2:
             raise ValueError(f"voldim.window must be [r_min, r_max], got {list(window)}")
         fit_loglog(radii, np.ones(radii.size), window)
@@ -413,7 +414,7 @@ def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str,
     s = config.derivative()
     h_grid = config.bandwidth_grid()
     x_grid = config.eval_grid(dist)
-    n_list = config.sample_sizes()
+    n_list = config.n_list
     reps = config.replicates
 
     oracle = dist.smoothed_derivative_table(kernel, s, h_grid.values, x_grid.points)
@@ -441,7 +442,7 @@ def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str,
         mat = np.stack(list(done.values()), axis=0)  # (replicates, H)
         ids = None if len(done) == reps else tuple(done)
         cells += [
-            DeviationCell(int(n), float(h), mat[:, i].copy(), discretization_bound(kernel, s, x_grid.spacing, float(h)), ids)
+            DeviationCell(n, float(h), mat[:, i].copy(), discretization_bound(kernel, s, x_grid.spacing, float(h)), ids)
             for i, h in enumerate(h_grid.values)
         ]
     report = DeviationReport(
@@ -458,7 +459,7 @@ def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str,
         failures=[o for o in outcomes if isinstance(o, str)],
     )
     files = report.files()
-    if config.raw.get("export_sample_csv"):
+    if config.export_sample_csv:
         sample = dist.sample(n_list[0], config.base_seed)
         files["sample.csv"] = csv_text([f"x{i}" for i in range(sample.shape[1])], sample)
     return report, files
@@ -481,37 +482,27 @@ def fit_rate(report: DeviationReport, axis: str, statistic: str | None = None) -
     if statistic not in _STATISTICS:
         raise ValueError("statistic must be 'mean' or 'median'")
     cells, xs = _axis_cells(report, axis)
-    ys = np.array([getattr(c, statistic) for c in cells])
-    if np.any(ys <= 0):
-        raise ValueError("zero statistic value: log-log fit undefined")
-    return fit_loglog(xs, ys)
+    return fit_loglog(xs, [getattr(c, statistic) for c in cells])
 
 
-def emit_plots(report: DeviationReport, out_dir, statistic: str | None = None) -> list[Path]:
-    """Write log-log scatter + fitted-line data as CSV and a standalone SVG.
-
-    One pair of files per available axis; refuses when an axis has a single
-    grid point.
-    """
-    ns = {c.n for c in report.cells}
-    hs = {c.h for c in report.cells}
-    axes = [axis for axis, varied, fixed in (("h", hs, ns), ("n", ns, hs)) if len(varied) > 1 and len(fixed) == 1]
-    if not axes:
-        raise ValueError("no axis with at least two grid points and a fixed partner; nothing to plot")
-    files = {}
-    for axis in axes:
-        fit = fit_rate(report, axis, statistic)
-        cells, xs = _axis_cells(report, axis)
-        log_x = np.log(xs)
-        log_medians = np.log([c.median for c in cells])
-        fit_vals = fit.slope * log_x + fit.intercept
-        files[f"plot_{axis}.csv"] = csv_text(
+def fit_files(report: DeviationReport, axis: str, statistic: str | None = None) -> tuple[RateFit, dict[str, str]]:
+    """The fit along axis and the files of `kderates fit`: fit_{axis}.json and
+    the log-log scatter with its fitted line, as CSV and as a standalone SVG."""
+    fit = fit_rate(report, axis, statistic)
+    cells, xs = _axis_cells(report, axis)
+    log_x = np.log(xs)
+    log_medians = np.log([c.median for c in cells])
+    fit_vals = fit.slope * log_x + fit.intercept
+    payload = {k: v for k, v in asdict(fit).items() if k != "r_window"}
+    payload.update(axis=axis, statistic=statistic or report.statistic)
+    return fit, {
+        f"fit_{axis}.json": dumps_17g(payload) + "\n",
+        f"plot_{axis}.csv": csv_text(
             (f"log_{axis}", "log_sup_mean", "log_sup_median", "fit_value"),
             zip(log_x, np.log([c.mean for c in cells]), log_medians, fit_vals),
-        )
-        files[f"plot_{axis}.svg"] = _scatter_svg(log_x, log_medians, fit_vals, f"log {axis}", "log sup deviation")
-    write_files(out_dir, files)
-    return [Path(out_dir) / name for name in files]
+        ),
+        f"plot_{axis}.svg": _scatter_svg(log_x, log_medians, fit_vals, f"log {axis}", "log sup deviation"),
+    }
 
 
 def _scatter_svg(x, y, line, xlabel, ylabel, width=640, height=480) -> str:
@@ -665,7 +656,9 @@ _KDE_PARTS = (
     ExperimentConfig.bandwidth_grid,
     ExperimentConfig.eval_grid,
 )
-_CAMPAIGN_PARTS = (*_KDE_PARTS, ExperimentConfig.sample_sizes)
+_CAMPAIGN_PARTS = (*_KDE_PARTS, ExperimentConfig.n_list.fget)
+# the top-level values, read under every mode
+_COMMON_PARTS = tuple(getattr(ExperimentConfig, k).fget for k in ("base_seed", "replicates", "statistic", "export_sample_csv"))
 
 MODES = {
     "rate_in_h": Mode("simulate", _CAMPAIGN_PARTS, _run_deviation),

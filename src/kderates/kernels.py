@@ -83,10 +83,7 @@ class MultiIndex:
         """Accept None (zero), a MultiIndex, or a sequence of ints."""
         if s is None:
             return cls.zero(dim)
-        if isinstance(s, MultiIndex):
-            out = s
-        else:
-            out = cls(tuple(int(k) for k in s))
+        out = s if isinstance(s, MultiIndex) else cls(tuple(s))
         if out.dim != dim:
             raise ValueError(f"multi-index has {out.dim} components, expected {dim}")
         return out

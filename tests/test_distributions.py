@@ -20,7 +20,7 @@ from kderates.distributions import (
 from kderates.dimension import dyadic_radii
 from kderates.harness import ExperimentConfig, run
 from kderates.kde import make_eval_grid
-from kderates.kernels import Kernel, MultiIndex, _phi_deriv
+from kderates.kernels import Kernel, MultiIndex, QuadratureError, _phi_deriv
 
 
 GAUSS1 = Kernel.gaussian(1)
@@ -903,6 +903,22 @@ def _counting(monkeypatch, cls, name):
 
     monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def test_fill_certifies_each_cell():
+    # _fill is the certification gate of every quadrature-filled table: a
+    # cell whose claimed error exceeds tol * max(|value|, floor) fails it
+    dist = UniformCube(1)
+    X = np.zeros((2, 1))
+    tol = dist._moment_tol
+    with pytest.raises(QuadratureError, match="smoothed_density quadrature error"):
+        dist._fill([0.1], X, lambda x, row: (2.0, 2.02 * tol), tol, "smoothed_density")
+    assert dist._fill([0.1], X, lambda x, row: (2.0, 1.98 * tol), tol, "smoothed_density").tolist() == [[2.0, 2.0]]
+    # a negligible moment is certified when its error is within the absolute floor
+    floor = dist_module._EPSABS / tol
+    assert dist._fill([0.1], X, lambda x, row: (1e-30, 0.9e-12), tol, "moment_k", floor).tolist() == [[1e-30, 1e-30]]
+    with pytest.raises(QuadratureError, match="moment_k quadrature error 1.10e-12 exceeds target"):
+        dist._fill([0.1], X, lambda x, row: (1e-30, 1.1e-12), tol, "moment_k", floor)
 
 
 class TestRadialCells:

@@ -15,7 +15,7 @@ import yaml
 
 import kderates
 from kderates import harness
-from kderates.harness import MODES, DeviationReport, ExperimentConfig, dumps_17g, emit_plots, fit_rate, run
+from kderates.harness import MODES, DeviationReport, ExperimentConfig, dumps_17g, fit_files, fit_rate, run
 from kderates.cli import _build_parser, main as cli_main
 from kderates.distributions import UniformCircle, UniformCube, distribution_from_config
 from kderates.kde import kde_table
@@ -40,6 +40,7 @@ _MOMENT_CFG = {
     "h_grid": {"l_n": 0.05, "h_max": 0.4, "n_points": 4},
 }
 _VOLDIM_CFG = {"mode": "voldim", "distribution": {"kind": "uniform_circle", "radius": 1.0}}
+_COVERING_CFG = {"mode": "covering", "kernel": {"form": "gaussian", "dim": 2}}
 
 # the source tree, for subprocesses, which do not inherit pytest's import path
 _SRC = str(Path(kderates.__file__).resolve().parents[1])
@@ -146,7 +147,7 @@ class TestConfig:
         [
             ({"h_grid": {**_RATE_CFG["h_grid"], "l_n": math.nan}}, "l_n=nan"),
             ({"h_grid": {**_RATE_CFG["h_grid"], "h_max": math.inf}}, "h_max=inf"),
-            ({"x_grid": {"target_size": -4}}, "target_size must be a positive integer"),
+            ({"x_grid": {"target_size": -4}}, "x_grid.target_size must be >= 1, got -4"),
             ({"n_list": [0]}, "positive sample sizes"),
             (
                 {"distribution": {"kind": "uniform_sphere", "manifold_dim": 3}, "kernel": {"form": "gaussian", "dim": 4}},
@@ -175,6 +176,37 @@ class TestConfig:
     )
     def test_runner_value_rejected_at_validation(self, cfg, message):
         # each of these validated once and then failed inside run()
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({**_RATE_CFG, "base_seed": -1}, "base_seed must be >= 0, got -1"),
+            ({**_RATE_CFG, "base_seed": "a"}, "base_seed must be an integer, got 'a'"),
+            ({**_RATE_CFG, "base_seed": 1.9}, "base_seed must be an integer, got 1.9"),
+            ({**_RATE_CFG, "replicates": 2.5}, "replicates must be an integer, got 2.5"),
+            ({**_RATE_CFG, "replicates": True}, "replicates must be an integer, got True"),
+            ({**_RATE_CFG, "n_list": [200.7]}, "n_list's positive sample sizes must be an integer, got 200.7"),
+            ({**_RATE_CFG, "x_grid": {"target_size": 8.9}}, "x_grid.target_size must be an integer, got 8.9"),
+            ({**_RATE_CFG, "h_grid": {**_RATE_CFG["h_grid"], "n_points": 2.5}}, "h_grid.n_points must be an integer"),
+            ({**_RATE_CFG, "h_grid": {"l_n": 0.1, "points_per_decade": 2.5}}, "h_grid.points_per_decade must be an integer"),
+            ({**_RATE_CFG, "export_sample_csv": "false"}, "export_sample_csv must be true or false, got 'false'"),
+            ({**_RATE_CFG, "s": [1.5]}, r"multi-index components must be nonnegative integers, got \(1.5,\)"),
+            ({**_VOLDIM_CFG, "voldim": {"n": 2.5}}, "voldim.n must be an integer, got 2.5"),
+            ({**_VOLDIM_CFG, "voldim": {"j_min": 2.5}}, "voldim.j_min must be an integer, got 2.5"),
+            ({**_VOLDIM_CFG, "voldim": {"j_max": "6"}}, "voldim.j_max must be an integer, got '6'"),
+            ({**_COVERING_CFG, "covering": {"grid_size": 32.5}}, "covering.grid_size must be an integer"),
+            ({**_COVERING_CFG, "covering": {"q_size": 0}}, "covering.q_size must be >= 1, got 0"),
+        ],
+        ids=["base_seed_negative", "base_seed_string", "base_seed_fraction", "replicates_fraction", "replicates_bool",
+             "n_list_fraction", "x_grid.target_size_fraction", "h_grid.n_points_fraction", "h_grid.points_per_decade_fraction",
+             "export_sample_csv_string", "s_fraction", "voldim.n_fraction", "voldim.j_min_fraction", "voldim.j_max_string",
+             "covering.grid_size_fraction", "covering.q_size_zero"],
+    )
+    def test_value_the_run_would_change_rejected(self, cfg, message):
+        # each of these validated once, and the run then truncated it, failed
+        # on it, or read a string as a number or as true
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(cfg)
 
@@ -434,21 +466,21 @@ class TestEmitPlots:
     def test_csv_header_and_svg(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KDERATES_WORKERS", "1")
         report = run(small_rate_config(), tmp_path / "run")
-        files = emit_plots(report, tmp_path / "plots")
-        csv = tmp_path / "plots" / "plot_h.csv"
-        assert csv in files
-        header = csv.read_text().splitlines()[0]
+        fit, files = fit_files(report, "h")
+        assert sorted(files) == ["fit_h.json", "plot_h.csv", "plot_h.svg"]
+        assert fit == fit_rate(report, "h")
+        header = files["plot_h.csv"].splitlines()[0]
         assert header == "log_h,log_sup_mean,log_sup_median,fit_value"
-        svg = tmp_path / "plots" / "plot_h.svg"
-        tree = etree.parse(svg)  # well-formed XML
-        assert tree.getroot().tag.endswith("svg")
+        root = etree.fromstring(files["plot_h.svg"])  # well-formed XML
+        assert root.tag.endswith("svg")
 
     def test_refuses_empty_axis(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KDERATES_WORKERS", "1")
         cfg = small_rate_config(h_grid={"l_n": 0.2, "h_max": 0.2, "n_points": 1})
         report = run(cfg, tmp_path)
-        with pytest.raises(ValueError, match="axis"):
-            emit_plots(report, tmp_path / "plots")
+        for axis in ("h", "n"):
+            with pytest.raises(ValueError, match="at least 4 points"):
+                fit_files(report, axis)
 
 
 class TestOtherModes:
@@ -586,6 +618,13 @@ class TestCli:
         b = json.loads((out2 / "report.json").read_text())
         assert a["base_seed"] == 99 and b["base_seed"] == 12
         assert a["config_hash"] != b["config_hash"]
+
+    def test_seed_override_validated(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and err["error"] == "base_seed must be >= 0, got -1"
+        assert not (tmp_path / "o").exists()
 
     def test_fit_takes_no_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -914,11 +953,19 @@ def test_modes_table_covers_golden_and_cli():
     assert set(subcommands) - {"fit"} == {m.command for m in MODES.values()}
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
-def test_golden_artifacts(name, tmp_path, monkeypatch):
+# every config under 1 worker, and each campaign (a pool run) under 2 as well
+_GOLDEN_RUNS = [pytest.param(name, "1", id=name) for name in sorted(_GOLDEN_CONFIGS)] + [
+    pytest.param(name, "2", id=f"{name}-workers2")
+    for name in sorted(_GOLDEN_CONFIGS)
+    if MODES[_GOLDEN_CONFIGS[name]["mode"]].command == "simulate"
+]
+
+
+@pytest.mark.parametrize("name, workers", _GOLDEN_RUNS)
+def test_golden_artifacts(name, workers, tmp_path, monkeypatch):
     import hashlib
 
-    monkeypatch.setenv("KDERATES_WORKERS", "1")
+    monkeypatch.setenv("KDERATES_WORKERS", workers)
     out = tmp_path / "out"
     run(ExperimentConfig.from_dict(_GOLDEN_CONFIGS[name]), out)
     if "fit_h.json" in _GOLDEN_SHA256[name]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kderates.bounds import covering_bound
-from kderates.kde import discretization_bound
+from kderates.kde import discretization_bound, kde_table
 from kderates.kernels import Kernel, MultiIndex, _gaussian_moment_terms, kernel_from_config
 
 
@@ -312,6 +312,13 @@ class TestMultiIndex:
         assert MultiIndex.coerce([0, 1], 2).order == 1
         with pytest.raises(ValueError):
             MultiIndex.coerce([1], 2)
+
+    def test_coerce_rejects_fractional_order(self):
+        # a fractional order is an error, not truncated to its integer part
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            MultiIndex.coerce([1.5], 1)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            kde_table(np.zeros((3, 1)), Kernel.gaussian(1), [0.3], np.zeros((1, 1)), s=[1.5])
 
 
 def test_kernel_from_config():
