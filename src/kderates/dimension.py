@@ -6,10 +6,14 @@
 #
 # Every empirical count comes from one scipy k-d tree per sample, reused
 # across radii: open balls d2 < r*r for the volume dimension, closed balls
-# d2 <= r*r for greedy covers and pair counts.  The tree sums d2 coordinate
-# by coordinate, as ((x - y)**2).sum() does, so its counts equal those of a
-# brute-force scan (the tests pin this in d = 1, 2, 3).  scipy.spatial
-# loads when the first tree is built, not when this module is imported.
+# d2 <= r*r for greedy covers and pair counts.  The volume dimension takes
+# every radius of a grid point in one dual-tree count_neighbors traversal.
+# Each tree serves only a few traversals, so _tree builds it the cheap way
+# (sliding-midpoint splits, no compaction) rather than the balanced way.
+# The tree sums d2 coordinate by coordinate, as ((x - y)**2).sum() does, so
+# its counts equal those of a brute-force scan (the tests pin this in
+# d = 1, 2, 3, on duplicated and flat samples too).  scipy.spatial loads
+# when the first tree is built, not when this module is imported.
 #
 # The limiting definitions carry no finite-sample recipe; the estimators
 # here are windowed log-log slopes, and every fit reports its maximal
@@ -105,22 +109,31 @@ def _as_sample(sample) -> np.ndarray:
     return sample.reshape(-1, 1) if sample.ndim < 2 else sample
 
 
+def _tree(sample: np.ndarray) -> scipy.spatial.cKDTree:
+    """k-d tree built for a few traversals: sliding-midpoint splits, no compaction."""
+    return scipy.spatial.cKDTree(sample, leafsize=32, balanced_tree=False, compact_nodes=False)
+
+
 def _empirical_counts(sample: np.ndarray, X: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Counts of sample points strictly inside B(x, r); shape (len(radii), len(X)).
 
-    The tree counts closed balls.  The closed count at the float below r
+    One dual-tree traversal per grid point counts closed balls at every
+    radius and at the float below it.  The closed count at the float below r
     never exceeds the open count at r, and the closed count at r never falls
     below it; where the two differ, a point lies within a few ulps of the
-    sphere and the query is recounted with the exact test d2 < r*r.
+    sphere and the ball is recounted with the exact test d2 < r*r.
     """
-    tree = scipy.spatial.cKDTree(sample)
+    tree = _tree(sample)
+    below = np.nextafter(radii, 0.0)
+    edges = np.unique(np.concatenate([radii, below]))
+    i_below, i_at = np.searchsorted(edges, below), np.searchsorted(edges, radii)
     out = np.empty((radii.size, X.shape[0]), dtype=np.int64)
-    for i, r in enumerate(radii):
-        out[i] = tree.query_ball_point(X, np.nextafter(r, 0.0), return_length=True)
-        closed = tree.query_ball_point(X, r, return_length=True)
-        for j in np.flatnonzero(out[i] != closed):
-            near = sample[tree.query_ball_point(X[j], r)]
-            out[i, j] = np.count_nonzero(((near - X[j]) ** 2).sum(axis=1) < r * r)
+    for j, x in enumerate(X):
+        closed = tree.count_neighbors(_tree(x[None, :]), edges)
+        out[:, j] = closed[i_below]
+        for i in np.flatnonzero(closed[i_below] != closed[i_at]):
+            near = sample[tree.query_ball_point(x, radii[i])]
+            out[i, j] = np.count_nonzero(((near - x) ** 2).sum(axis=1) < radii[i] * radii[i])
     return out
 
 
@@ -175,11 +188,11 @@ def assumption_check(dist: ReferenceDistribution, x_grid, radii, nu: float) -> d
 def _greedy_cover_count(tree: scipy.spatial.cKDTree, delta: float) -> int:
     """Greedy closed-ball cover with centers at the lowest-index uncovered points."""
     covered = np.zeros(tree.n, dtype=bool)
-    count = 0
-    for i in range(tree.n):
-        if not covered[i]:
-            count += 1
-            covered[tree.query_ball_point(tree.data[i], delta)] = True
+    count = i = 0
+    while i < tree.n and not covered[i]:
+        count += 1
+        covered[tree.query_ball_point(tree.data[i], delta)] = True
+        i += int(covered[i:].argmin())  # the next uncovered index, or i again once all are covered
     return count
 
 
@@ -189,7 +202,7 @@ def box_dimension_estimate(sample, delta_grid) -> RateFit:
     deltas = np.sort(np.asarray(delta_grid, dtype=float))[::-1]
     if deltas.size < 4:
         raise ValueError("need at least 4 deltas")
-    tree = scipy.spatial.cKDTree(sample)
+    tree = _tree(sample)
     counts = np.array([_greedy_cover_count(tree, float(dl)) for dl in deltas], dtype=float)
     if np.all(counts == 1):
         warnings.warn("degenerate sample: greedy cover is a single ball at every delta")
@@ -209,7 +222,7 @@ def correlation_dimension_estimate(sample, r_grid) -> RateFit:
     radii = np.sort(np.asarray(r_grid, dtype=float))
     if radii.size < 4:
         raise ValueError("need at least 4 radii")
-    tree = scipy.spatial.cKDTree(sample)
+    tree = _tree(sample)
     counts = (tree.count_neighbors(tree, radii) - n) / 2  # ordered pairs, self-pairs removed
     fracs = counts / (n * (n - 1) / 2.0)
     keep = fracs > 0

@@ -14,6 +14,8 @@
 # failures included, are collected in task order, so parallel and serial
 # runs write identical artifacts.  A failed replicate is left out of its
 # cells, and every sup keeps the index of the replicate that produced it.
+# concurrent.futures (with multiprocessing and logging) loads when the
+# first pool opens, not when this module is imported.
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -64,6 +66,16 @@ _CONFIG_KEYS = (
     "mode", "out_dir", "base_seed", "replicates", "statistic", "n_list", "s", "export_sample_csv",
     "distribution", "kernel", "bounds", *_SECTIONS,
 )
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first access and kept as a global (which a patch may replace)."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _workers() -> int:
@@ -430,7 +442,7 @@ def _run_deviation(config: ExperimentConfig) -> tuple[DeviationReport, dict[str,
     if workers == 1:
         outcomes = [_deviation_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_deviation_task, t) for t in tasks]
             outcomes = [f.result() for f in futures]
 

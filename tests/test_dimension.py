@@ -111,28 +111,82 @@ def gap_point_2d(x0, r, seed=0):
     return pts[inside[0]]
 
 
+def sphere_case(d):
+    """A uniform bulk plus points at exactly r (excluded), at r/2 and, in 2-D, in the rounding gap
+    (included): (sample, X, radii, the count at X[0] and r)."""
+    rng = np.random.default_rng(40 + d)
+    r = 0.3  # fl(nextafter(r, 0)^2) is at least 2 ulps below fl(r^2)
+    assert np.nextafter(r * r, 0.0) > np.nextafter(r, 0.0) ** 2
+    x0 = np.zeros(d)
+    eye = np.eye(d)
+    special = [r * eye, -r * eye, 0.5 * r * eye]
+    if d == 2:
+        special.append(gap_point_2d(x0, r)[None, :])
+    bulk = rng.uniform(-0.6, 0.6, (2000, d))
+    sample = np.vstack(special + [bulk])
+    X = np.vstack([x0, rng.uniform(-0.6, 0.6, (30, d))])
+    n_inside = d + (d == 2)
+    bulk_inside = np.count_nonzero(brute_sq_dists(x0[None, :], bulk)[0] < r * r)
+    return sample, X, np.array([r, 0.05, 0.125, 0.6]), n_inside + bulk_inside
+
+
+def lattice(d, step, k):
+    """The k^d points step * (i_1, ..., i_d), 0 <= i_j < k."""
+    return step * np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), axis=-1).reshape(-1, d).astype(float)
+
+
+_ATOMS = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.5]])
+_LINE = np.linspace(0.0, 1.0, 2001)
+
+# duplicated and flat samples, and unsorted repeated radii: (sample, X, radii)
+DEGENERATE_SAMPLES = {
+    "identical": lambda: (
+        np.full((500, 2), 0.25),
+        np.array([[0.25, 0.25], [0.25, 0.5], [0.0, 0.0]]),
+        np.array([0.25, 0.1, 0.5, 1e-9, 0.3535533905932738]),
+    ),
+    "atoms": lambda: (
+        _ATOMS[np.random.default_rng(1).integers(0, 3, 3000)],
+        np.vstack([_ATOMS, _ATOMS.mean(axis=0), [0.125, 0.0]]),
+        np.array([0.25, 0.5, 0.125, 0.5590169943749475, 1.0]),
+    ),
+    "point_masses": lambda: (
+        PointMasses(_ATOMS, [0.5, 0.3, 0.2]).sample(2000, 5),
+        np.vstack([_ATOMS, np.random.default_rng(2).uniform(-0.2, 0.6, (10, 2))]),
+        np.array([0.25, 0.5, 0.05, 0.3]),
+    ),
+    "collinear": lambda: (
+        np.vstack([np.c_[_LINE, np.full_like(_LINE, 0.3)], np.c_[_LINE, 2.0 * _LINE]]),
+        np.array([[0.5, 0.3], [0.5, 0.55], [0.25, 0.5], [0.0, 0.0], [1.0, 0.3]]),
+        np.array([0.25, 0.0005, 0.125, 0.5, 0.01]),
+    ),
+    "lattice": lambda: (lattice(2, 0.125, 9), lattice(2, 0.125, 9)[::5], np.array([0.125, 0.25, 0.375, 0.5, 0.17677669529663687])),
+    "atoms_3d": lambda: (
+        np.repeat(lattice(3, 0.25, 2), 200, axis=0),
+        np.vstack([lattice(3, 0.25, 2), [0.125, 0.125, 0.125]]),
+        np.array([0.25, 0.3535533905932738, 0.4330127018922193, 0.21650635094610965]),
+    ),
+    "radii_unsorted": lambda: (
+        np.random.default_rng(3).uniform(-0.6, 0.6, (2000, 2)),
+        np.vstack([np.zeros(2), np.random.default_rng(4).uniform(-0.6, 0.6, (20, 2))]),
+        np.array([0.3, 0.05, 0.3, 0.6, 0.05, 0.125, 0.6]),
+    ),
+}
+
+
 class TestEmpiricalCounts:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_tree_matches_brute_force(self, d):
-        rng = np.random.default_rng(40 + d)
-        r = 0.3  # fl(nextafter(r, 0)^2) is at least 2 ulps below fl(r^2)
-        assert np.nextafter(r * r, 0.0) > np.nextafter(r, 0.0) ** 2
-        x0 = np.zeros(d)
-        eye = np.eye(d)
-        special = [r * eye, -r * eye, 0.5 * r * eye]  # at exactly r (excluded) and at r/2 (included)
-        if d == 2:
-            special.append(gap_point_2d(x0, r)[None, :])
-        bulk = rng.uniform(-0.6, 0.6, (2000, d))
-        sample = np.vstack(special + [bulk])
-        X = np.vstack([x0, rng.uniform(-0.6, 0.6, (30, d))])
-        radii = np.array([r, 0.05, 0.125, 0.6])
+    @pytest.mark.parametrize("case", [1, 2, 3, *DEGENERATE_SAMPLES])
+    def test_tree_matches_brute_force(self, case):
+        if isinstance(case, int):
+            sample, X, radii, inside = sphere_case(case)
+        else:
+            (sample, X, radii), inside = DEGENERATE_SAMPLES[case](), None
         got = _empirical_counts(sample, X, radii)
         d2 = brute_sq_dists(X, sample)
         want = np.array([(d2 < rr * rr).sum(axis=1) for rr in radii])
         assert np.array_equal(got, want)
-        n_inside = d + (d == 2)  # the r/2 points, plus the gap point in 2-D
-        bulk_inside = np.count_nonzero(brute_sq_dists(x0[None, :], bulk)[0] < r * r)
-        assert got[0, 0] == n_inside + bulk_inside
+        if inside is not None:
+            assert got[0, 0] == inside
 
     def test_mismatched_dimensions_raise(self):
         rng = np.random.default_rng(5)

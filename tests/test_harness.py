@@ -927,7 +927,10 @@ cell = ball.smoothed_density(kderates.Kernel.gaussian(2), 0.2, np.array([0.3, 0.
 sweep = kderates.voldim_sweep(ball.sample(2000, 3), ball.special_points(), [0.05, 0.1, 0.2])
 print(json.dumps([cell.hex(), *(float(p).hex() for p in sweep.sup_probs)]))
 """
-_LAZY_MODULES = ["scipy.integrate", "scipy.special", "scipy.spatial", "scipy.optimize", "scipy.sparse", "yaml"]
+_LAZY_MODULES = [
+    "scipy.integrate", "scipy.special", "scipy.spatial", "scipy.optimize", "scipy.sparse", "yaml",
+    "concurrent.futures", "multiprocessing",
+]
 
 
 def test_import_and_validation_load_no_scipy_submodule_or_yaml():
