@@ -143,12 +143,12 @@ DEGENERATE_SAMPLES = {
     "identical": lambda: (
         np.full((500, 2), 0.25),
         np.array([[0.25, 0.25], [0.25, 0.5], [0.0, 0.0]]),
-        np.array([0.25, 0.1, 0.5, 1e-9, 0.3535533905932738]),
+        np.array([0.25, 0.1, 0.5, 1e-9, np.sqrt(0.125)]),
     ),
     "atoms": lambda: (
         _ATOMS[np.random.default_rng(1).integers(0, 3, 3000)],
         np.vstack([_ATOMS, _ATOMS.mean(axis=0), [0.125, 0.0]]),
-        np.array([0.25, 0.5, 0.125, 0.5590169943749475, 1.0]),
+        np.array([0.25, 0.5, 0.125, np.sqrt(0.3125), 1.0]),
     ),
     "point_masses": lambda: (
         PointMasses(_ATOMS, [0.5, 0.3, 0.2]).sample(2000, 5),
@@ -160,11 +160,11 @@ DEGENERATE_SAMPLES = {
         np.array([[0.5, 0.3], [0.5, 0.55], [0.25, 0.5], [0.0, 0.0], [1.0, 0.3]]),
         np.array([0.25, 0.0005, 0.125, 0.5, 0.01]),
     ),
-    "lattice": lambda: (lattice(2, 0.125, 9), lattice(2, 0.125, 9)[::5], np.array([0.125, 0.25, 0.375, 0.5, 0.17677669529663687])),
+    "lattice": lambda: (lattice(2, 0.125, 9), lattice(2, 0.125, 9)[::5], np.array([0.125, 0.25, 0.375, 0.5, np.sqrt(0.03125)])),
     "atoms_3d": lambda: (
         np.repeat(lattice(3, 0.25, 2), 200, axis=0),
         np.vstack([lattice(3, 0.25, 2), [0.125, 0.125, 0.125]]),
-        np.array([0.25, 0.3535533905932738, 0.4330127018922193, 0.21650635094610965]),
+        np.array([0.25, 0.25 * np.sqrt(2.0), 0.25 * np.sqrt(3.0), 0.125 * np.sqrt(3.0)]),
     ),
     "radii_unsorted": lambda: (
         np.random.default_rng(3).uniform(-0.6, 0.6, (2000, 2)),
