@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, _whole
 
 __all__ = [
     "BoundSpec",
@@ -53,18 +53,15 @@ class BoundSpec:
     assumption_exact: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        # checked, not converted: a whole float such as n = 1000.0 stays as given in bound_report
+        for name, minimum in (("n", 1), ("d", 1), ("s_order", 0)):
+            _whole(getattr(self, name), name, minimum)
         if self.l_n <= 0:
             raise ValueError("l_n must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
         if not 0.0 <= self.d_vol <= self.d:
             raise ValueError("d_vol must lie in [0, d]")
-        if self.s_order < 0:
-            raise ValueError("s_order must be nonnegative")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.d_vol == 0.0:

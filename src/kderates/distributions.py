@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .kernels import Kernel, MultiIndex, QuadratureError, unit_ball_volume
+from .kernels import Kernel, MultiIndex, QuadratureError, _check_keys, _whole, unit_ball_volume
 from .kernels import _gaussian_deriv_monomials, _gaussian_moment_terms, _phi_deriv
 
 __all__ = [
@@ -83,6 +83,20 @@ def _quad(f, a, b, points=None, limit=200) -> tuple[float, float]:
     """scipy quad wrapped to return (value, abserr) without printing warnings."""
     out = scipy.integrate.quad(f, a, b, points=points, limit=limit, epsabs=_EPSABS, epsrel=1e-10, full_output=1)
     return float(out[0]), float(out[1])
+
+
+def _quad_nested(f, a, b, points=None) -> tuple[float, float]:
+    """The integral over [a, b] of the value of f(t) -> (value, error), with
+    the QUADPACK error plus (b - a) times the largest error of f."""
+    errs = []
+
+    def value(t):
+        v, e = f(t)
+        errs.append(e)
+        return v
+
+    v, e = _quad(value, a, b, points=points)
+    return v, e + (b - a) * max(errs, default=0.0)
 
 
 def cap_fraction(cos_theta: float, sphere_dim: int) -> float:
@@ -433,12 +447,10 @@ class UniformCube(ReferenceDistribution):
     """Uniform distribution on the unit cube [0, 1]^d."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
         self.kind = "uniform_cube"
-        self.ambient_dim = int(dim)
-        self.analytic_voldim = float(dim)
-        self.support_bound = math.sqrt(dim)
+        self.ambient_dim = _whole(dim, "dim", 1)
+        self.analytic_voldim = float(self.ambient_dim)
+        self.support_bound = math.sqrt(self.ambient_dim)
 
     @property
     def support_diameter(self) -> float:
@@ -457,19 +469,15 @@ class UniformCube(ReferenceDistribution):
             hi = min(1.0, center[0] + radius)
             if len(center) == 1 or hi <= lo:
                 return max(0.0, hi - lo), 0.0
-            errs = []
 
             def slice_vol(u):
-                v, e = vol(center[1:], math.sqrt(max(0.0, radius * radius - (u - center[0]) ** 2)))
-                errs.append(e)
-                return v
+                return vol(center[1:], math.sqrt(max(0.0, radius * radius - (u - center[0]) ** 2)))
 
             # a slice's volume has a kink where its sphere reaches a face of the cube
             faces = itertools.product(*[(0.0, c, 1.0 - c) for c in center[1:]])
             w = [math.sqrt(radius * radius - t) for t in {sum(v * v for v in o) for o in faces} if t < radius * radius]
             kinks = sorted(u for v in w for u in (center[0] - v, center[0] + v) if lo < u < hi)
-            v, e = _quad(slice_vol, lo, hi, points=kinks or None)
-            return v, e + max(errs, default=0.0) * (hi - lo)
+            return _quad_nested(slice_vol, lo, hi, points=kinks or None)
 
         return vol(tuple(float(v) for v in x), r)
 
@@ -521,7 +529,6 @@ class UniformCube(ReferenceDistribution):
             return _quad(lambda y: g(abs(x0 - y)), 0.0, 1.0)
         if d == 2:
             x0, x1 = float(x[0]), float(x[1])
-            inner_err = []
 
             def outer(y1):
                 a2 = (x0 - y1) * (x0 - y1)
@@ -530,12 +537,9 @@ class UniformCube(ReferenceDistribution):
                     b = x1 - y2
                     return g(math.sqrt(a2 + b * b))
 
-                v, e = _quad(inner, 0.0, 1.0)
-                inner_err.append(e)
-                return v
+                return _quad(inner, 0.0, 1.0)
 
-            v, e = _quad(outer, 0.0, 1.0)
-            return v, e + (max(inner_err) if inner_err else 0.0)
+            return _quad_nested(outer, 0.0, 1.0)
         raise NotImplementedError("cube quadrature is implemented for d <= 2")
 
     def special_points(self):
@@ -557,14 +561,12 @@ class UnboundedBall(_SphereMixture):
     """
 
     def __init__(self, dim: int, beta: float):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0.0 < beta < dim:
-            raise ValueError("beta must lie in (0, dim)")
         self.kind = "unbounded_ball"
-        self.ambient_dim = int(dim)
+        self.ambient_dim = _whole(dim, "dim", 1)
         self.beta = float(beta)
-        self.analytic_voldim = dim - beta
+        if not 0.0 < self.beta < self.ambient_dim:
+            raise ValueError("beta must lie in (0, dim)")
+        self.analytic_voldim = self.ambient_dim - self.beta
         self.support_bound = 1.0
 
     def _sample(self, n, seed):
@@ -578,15 +580,7 @@ class UnboundedBall(_SphereMixture):
     def _radial_pushforward(self, inner) -> tuple[float, float]:
         # E[inner(rho)] for rho = ||X||: substitute u = rho^(d-beta), u ~ U(0,1)
         a = self.ambient_dim - self.beta
-        inner_errs = []
-
-        def value(u):
-            v, e = inner(u ** (1.0 / a))
-            inner_errs.append(e)
-            return v
-
-        val, err = _quad(value, 0.0, 1.0)
-        return val, err + max(inner_errs, default=0.0)
+        return _quad_nested(lambda u: inner(u ** (1.0 / a)), 0.0, 1.0)
 
     def _ball_prob_impl(self, x, r):
         # the shells rho < r - m lie inside B(x, r) whole and those with
@@ -629,15 +623,13 @@ class UniformSphere(_SphereMixture):
     """Uniform distribution on the sphere of dimension d_M embedded in R^(d_M+1)."""
 
     def __init__(self, manifold_dim: int, radius: float = 1.0):
-        if manifold_dim < 1:
-            raise ValueError("manifold_dim must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
         self.kind = "uniform_sphere"
-        self.manifold_dim = int(manifold_dim)
+        self.manifold_dim = _whole(manifold_dim, "manifold_dim", 1)
         self.radius = float(radius)
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
         self.ambient_dim = self.manifold_dim + 1
-        self.analytic_voldim = float(manifold_dim)
+        self.analytic_voldim = float(self.manifold_dim)
         self.support_bound = self.radius
 
     def _sample(self, n, seed):
@@ -818,19 +810,17 @@ class Mixture(ReferenceDistribution):
         return np.concatenate(parts, axis=0), max(covers)
 
 
-# kind -> (the parameters it accepts, its builder)
+# kind -> (its required parameters, its optional ones, its constructor)
 _KINDS = {
-    "uniform_cube": (("dim",), lambda cfg: UniformCube(int(cfg["dim"]))),
-    "unbounded_ball": (("dim", "beta"), lambda cfg: UnboundedBall(int(cfg["dim"]), float(cfg["beta"]))),
-    "uniform_circle": (("radius",), lambda cfg: UniformCircle(float(cfg.get("radius", 1.0)))),
-    "uniform_sphere": (
-        ("manifold_dim", "radius"),
-        lambda cfg: UniformSphere(int(cfg["manifold_dim"]), float(cfg.get("radius", 1.0))),
-    ),
-    "point_masses": (("locations", "weights"), lambda cfg: PointMasses(cfg["locations"], cfg.get("weights"))),
+    "uniform_cube": (("dim",), (), UniformCube),
+    "unbounded_ball": (("dim", "beta"), (), UnboundedBall),
+    "uniform_circle": ((), ("radius",), UniformCircle),
+    "uniform_sphere": (("manifold_dim",), ("radius",), UniformSphere),
+    "point_masses": (("locations",), ("weights",), PointMasses),
     "mixture": (
         ("components", "weights"),
-        lambda cfg: Mixture([distribution_from_config(c) for c in cfg["components"]], cfg["weights"]),
+        (),
+        lambda components, weights: Mixture([distribution_from_config(c) for c in components], weights),
     ),
 }
 
@@ -838,20 +828,13 @@ _KINDS = {
 def distribution_from_config(cfg: dict) -> ReferenceDistribution:
     """Build a distribution from a config mapping {kind, ...parameters}.
 
-    A missing kind, a missing parameter of the kind or a parameter the kind
-    does not take raises ValueError.
+    A missing or unknown kind, a missing parameter of the kind or a
+    parameter the kind does not take raises ValueError.
     """
     cfg = dict(cfg)
-    if "kind" not in cfg:
-        raise ValueError(f"distribution config needs a 'kind'; choose from {sorted(_KINDS)}")
-    kind = str(cfg.pop("kind")).lower()
+    kind = str(cfg.pop("kind", "")).lower()
     if kind not in _KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}; choose from {sorted(_KINDS)}")
-    params, build = _KINDS[kind]
-    unknown = sorted(set(cfg) - set(params))
-    if unknown:
-        raise ValueError(f"distribution kind {kind!r}: unknown parameters {unknown}; known parameters {list(params)}")
-    try:
-        return build(cfg)
-    except KeyError as missing:
-        raise ValueError(f"distribution kind {kind!r} needs the parameter {missing.args[0]!r}") from None
+        raise ValueError(f"distribution config needs a 'kind' from {sorted(_KINDS)}, got {kind!r}")
+    required, optional, build = _KINDS[kind]
+    _check_keys(f"distribution kind {kind!r}", cfg, required + optional, required)
+    return build(**cfg)

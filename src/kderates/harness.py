@@ -5,8 +5,8 @@
 # artifact.  run() looks the mode up, runs it, and writes the files through
 # kderates.artifacts, which alone decides the byte format; fit_files builds
 # the files of `kderates fit`.  Each config value is read, defaulted (from
-# _SECTIONS) and checked (by _whole, if a whole number) in the one accessor
-# that validate() and its runner both call.
+# _SECTIONS) and checked (by kernels._whole, if a whole number) in the one
+# accessor that validate() and its runner both call.
 #
 # Replicate r of a deviation campaign uses seed base_seed + r.  Replicates
 # run on a process pool of at most KDERATES_WORKERS processes (default: the
@@ -35,7 +35,7 @@ from .artifacts import csv_text, dumps_17g, write_files
 from .dimension import RateFit, dyadic_radii, fit_loglog, radius_sweep_csv, voldim_sweep
 from .distributions import ReferenceDistribution, distribution_from_config
 from .kde import BandwidthGrid, EvalGrid, discretization_bound, kde_table, make_eval_grid
-from .kernels import Kernel, MultiIndex, kernel_from_config
+from .kernels import Kernel, MultiIndex, _check_keys, _whole, kernel_from_config
 
 __all__ = [
     "MODES",
@@ -87,15 +87,6 @@ def _workers() -> int:
         return int(env)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cores, 8)
-
-
-def _whole(value, name: str, minimum: int) -> int:
-    """value as an int; a bool, a string or a fraction raises ValueError, and so does a value below minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
 
 
 # -- configuration --------------------------------------------------------------
@@ -265,13 +256,6 @@ class ExperimentConfig:
             raise ValueError(f"voldim.window must be [r_min, r_max], got {list(window)}")
         fit_loglog(radii, np.ones(radii.size), window)
         return {"sources": sources, "n": n, "radii": radii, "window": window}
-
-
-def _check_keys(section: str, given, known, required=()) -> None:
-    unknown = sorted(set(given) - set(known))
-    missing = sorted(set(required) - set(given))
-    if unknown or missing:
-        raise ValueError(f"{section}: unknown keys {unknown}, missing keys {missing}; known keys {sorted(known)}")
 
 
 # -- deviation campaign -----------------------------------------------------------

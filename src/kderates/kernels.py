@@ -18,6 +18,11 @@
 #   The Gaussian is the only built-in with derivatives; D^s K factorizes per
 #   coordinate through probabilists' Hermite polynomials:
 #   d^k/dt^k phi(t) = (-1)^k He_k(t) phi(t).
+#
+# _whole is the one check of a whole number (every constructor's dimension,
+# BoundSpec's n, d and s_order, harness's counts) and _check_keys the one
+# check of a config section's keys (harness, kernel_from_config and
+# distribution_from_config); they live here, below every config reader.
 
 from __future__ import annotations
 
@@ -43,6 +48,23 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature cannot certify the requested accuracy."""
+
+
+def _whole(value, name: str, minimum: int) -> int:
+    """value as an int; a bool, a string or a fraction raises ValueError, and so does a value below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_keys(section: str, given, known, required=()) -> None:
+    """ValueError naming every key of given not in known and every required key given lacks."""
+    unknown = sorted(set(given) - set(known))
+    missing = sorted(set(required) - set(given))
+    if unknown or missing:
+        raise ValueError(f"{section}: unknown keys {unknown}, missing keys {missing}; known keys {sorted(known)}")
 
 
 def unit_ball_volume(d: int) -> float:
@@ -182,10 +204,8 @@ class Kernel:
         lipschitz: float | None,
         negligible_r2: float = math.inf,
     ):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
         self.form = form
-        self.dim = int(dim)
+        self.dim = _whole(dim, "dim", 1)
         self._profile_sq = profile_sq
         self.radial = radial if radial is not None else lambda r: float(self.profile(r))
         # the profile is nonincreasing, so its value at 0 is the sup
@@ -204,6 +224,7 @@ class Kernel:
 
     @classmethod
     def gaussian(cls, dim: int) -> "Kernel":
+        dim = _whole(dim, "dim", 1)
         norm = (2.0 * math.pi) ** (-dim / 2.0)
 
         def profile_sq(r2, h, out=None, _norm=norm):
@@ -220,6 +241,7 @@ class Kernel:
 
     @classmethod
     def epanechnikov(cls, dim: int) -> "Kernel":
+        dim = _whole(dim, "dim", 1)
         c = (dim + 2.0) / (2.0 * unit_ball_volume(dim))
 
         def profile_sq(r2, h, out=None, _c=c):
@@ -234,6 +256,7 @@ class Kernel:
 
     @classmethod
     def uniform(cls, dim: int) -> "Kernel":
+        dim = _whole(dim, "dim", 1)
         c = 1.0 / unit_ball_volume(dim)
 
         def profile_sq(r2, h, out=None, _c=c):
@@ -247,6 +270,7 @@ class Kernel:
 
     @classmethod
     def triangular(cls, dim: int) -> "Kernel":
+        dim = _whole(dim, "dim", 1)
         c = (dim + 1.0) / unit_ball_volume(dim)
 
         def profile_sq(r2, h, out=None, _c=c):
@@ -387,11 +411,8 @@ _FORMS = {
 
 def kernel_from_config(cfg: dict) -> Kernel:
     """Build a kernel from a config mapping {form, dim}."""
-    cfg = dict(cfg)
-    form = str(cfg.pop("form")).lower()
-    dim = int(cfg.pop("dim"))
-    if cfg:
-        raise ValueError(f"unknown kernel config keys: {sorted(cfg)}")
+    _check_keys("kernel", cfg, ("form", "dim"), ("form", "dim"))
+    form = str(cfg["form"]).lower()
     if form not in _FORMS:
         raise ValueError(f"unknown kernel form {form!r}; choose from {sorted(_FORMS)}")
-    return _FORMS[form](dim)
+    return _FORMS[form](cfg["dim"])

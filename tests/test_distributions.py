@@ -1057,6 +1057,12 @@ def test_invalid_parameters():
         UniformCube(2).sample(0, seed=1)
     with pytest.raises(ValueError):
         UniformCube(2).ball_prob(np.zeros(2), -0.1)
+    with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+        UniformCube(2.5)
+    with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+        UnboundedBall(2.5, 1.0)
+    with pytest.raises(ValueError, match="manifold_dim must be an integer, got 1.5"):
+        UniformSphere(1.5)
 
 
 def test_sphere_lattice_needs_manifold_dim_at_most_2():

@@ -41,6 +41,7 @@ _MOMENT_CFG = {
 }
 _VOLDIM_CFG = {"mode": "voldim", "distribution": {"kind": "uniform_circle", "radius": 1.0}}
 _COVERING_CFG = {"mode": "covering", "kernel": {"form": "gaussian", "dim": 2}}
+_BOUNDS = {"n": 100000, "l_n": 0.1, "d": 2, "d_vol": 1.0, "delta": 0.05}
 
 # the source tree, for subprocesses, which do not inherit pytest's import path
 _SRC = str(Path(kderates.__file__).resolve().parents[1])
@@ -198,11 +199,32 @@ class TestConfig:
             ({**_VOLDIM_CFG, "voldim": {"j_max": "6"}}, "voldim.j_max must be an integer, got '6'"),
             ({**_COVERING_CFG, "covering": {"grid_size": 32.5}}, "covering.grid_size must be an integer"),
             ({**_COVERING_CFG, "covering": {"q_size": 0}}, "covering.q_size must be >= 1, got 0"),
+            ({**_VOLDIM_CFG, "distribution": {"kind": "uniform_cube", "dim": 2.7}}, "dim must be an integer, got 2.7"),
+            ({**_VOLDIM_CFG, "distribution": {"kind": "uniform_cube", "dim": True}}, "dim must be an integer, got True"),
+            ({**_VOLDIM_CFG, "distribution": {"kind": "uniform_cube", "dim": "2"}}, "dim must be an integer, got '2'"),
+            (
+                {**_VOLDIM_CFG, "distribution": {"kind": "unbounded_ball", "dim": 2.5, "beta": 0.5}},
+                "dim must be an integer, got 2.5",
+            ),
+            (
+                {**_VOLDIM_CFG, "distribution": {"kind": "uniform_sphere", "manifold_dim": 1.5}},
+                "manifold_dim must be an integer, got 1.5",
+            ),
+            ({**_COVERING_CFG, "kernel": {"form": "gaussian", "dim": 2.5}}, "dim must be an integer, got 2.5"),
+            ({**_COVERING_CFG, "kernel": {"form": "gaussian", "dim": True}}, "dim must be an integer, got True"),
+            ({**_COVERING_CFG, "kernel": {"form": "gaussian", "dim": "2"}}, "dim must be an integer, got '2'"),
+            ({**_COVERING_CFG, "kernel": {"dim": 2}}, r"kernel: unknown keys \[\], missing keys \['form'\]"),
+            ({"mode": "bounds", "bounds": {**_BOUNDS, "n": 100000.5}}, "n must be an integer, got 100000.5"),
+            ({"mode": "bounds", "bounds": {**_BOUNDS, "d": True}}, "d must be an integer, got True"),
+            ({"mode": "bounds", "bounds": {**_BOUNDS, "s_order": 0.5}}, "s_order must be an integer, got 0.5"),
         ],
         ids=["base_seed_negative", "base_seed_string", "base_seed_fraction", "replicates_fraction", "replicates_bool",
              "n_list_fraction", "x_grid.target_size_fraction", "h_grid.n_points_fraction", "h_grid.points_per_decade_fraction",
              "export_sample_csv_string", "s_fraction", "voldim.n_fraction", "voldim.j_min_fraction", "voldim.j_max_string",
-             "covering.grid_size_fraction", "covering.q_size_zero"],
+             "covering.grid_size_fraction", "covering.q_size_zero", "distribution.dim_fraction", "distribution.dim_bool",
+             "distribution.dim_string", "unbounded_ball.dim_fraction", "uniform_sphere.manifold_dim_fraction",
+             "kernel.dim_fraction", "kernel.dim_bool", "kernel.dim_string", "kernel.form_missing",
+             "bounds.n_fraction", "bounds.d_bool", "bounds.s_order_fraction"],
     )
     def test_value_the_run_would_change_rejected(self, cfg, message):
         # each of these validated once, and the run then truncated it, failed

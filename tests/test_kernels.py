@@ -32,6 +32,13 @@ class TestEval:
         with pytest.raises(ValueError):
             k.eval([1.0])
 
+    def test_dimension_must_be_whole(self):
+        with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+            Kernel.gaussian(2.5)
+        with pytest.raises(ValueError, match="dim must be an integer, got True"):
+            Kernel.epanechnikov(True)
+        assert Kernel.gaussian(2.0).dim == 2
+
     def test_bounded_by_sup_norm(self):
         rng = np.random.default_rng(0)
         for k in [Kernel.gaussian(2), Kernel.epanechnikov(2), Kernel.uniform(2), Kernel.triangular(2)]:
