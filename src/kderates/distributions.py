@@ -171,9 +171,7 @@ class ReferenceDistribution:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. points, deterministic given the 64-bit seed."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self._sample(int(n), int(seed))
+        return self._sample(_whole(n, "n", 1), _whole(seed, "seed", 0))
 
     def _sample(self, n: int, seed: int) -> np.ndarray:
         raise NotImplementedError

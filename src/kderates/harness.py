@@ -89,6 +89,13 @@ def _workers() -> int:
     return min(cores, 8)
 
 
+def _numbers(value, name: str) -> list[float]:
+    """A list of numbers as floats; a scalar or a string raises a ValueError naming the key."""
+    if np.ndim(value) != 1:
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
 # -- configuration --------------------------------------------------------------
 
 
@@ -216,8 +223,8 @@ class ExperimentConfig:
         c = self._part("covering")
         spec = {
             "R": float(c["R"]),
-            "h_values": [float(h) for h in c["h_values"]],
-            "eta_fracs": [float(e) for e in c["eta_fracs"]],
+            "h_values": _numbers(c["h_values"], "covering.h_values"),
+            "eta_fracs": _numbers(c["eta_fracs"], "covering.eta_fracs"),
             "grid_size": _whole(c["grid_size"], "covering.grid_size", 1),
             "q_size": _whole(c["q_size"], "covering.q_size", 1),
         }
@@ -243,7 +250,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown voldim source(s) {unknown}; choose from {list(_VOLDIM_SOURCES)}")
         n = _whole(v["n"], "voldim.n", 1)
         if v["radii"] is not None:
-            radii = np.asarray([float(r) for r in v["radii"]])
+            radii = np.asarray(_numbers(v["radii"], "voldim.radii"))
         else:
             j_min, j_max = _whole(v["j_min"], "voldim.j_min", 0), _whole(v["j_max"], "voldim.j_max", 0)
             if j_max < j_min:
@@ -251,7 +258,7 @@ class ExperimentConfig:
             radii = dyadic_radii(self.distribution().support_diameter, j_min, j_max)
         if not np.all(radii > 0):
             raise ValueError("voldim.radii must be positive")
-        window = tuple(float(w) for w in v["window"]) if v["window"] else None
+        window = tuple(_numbers(v["window"], "voldim.window")) if v["window"] else None
         if window is not None and len(window) != 2:
             raise ValueError(f"voldim.window must be [r_min, r_max], got {list(window)}")
         fit_loglog(radii, np.ones(radii.size), window)

@@ -8,15 +8,41 @@
 # 8 Ki points and the evaluation points into chunks of about 64 Ki pairwise
 # entries per block (8 points once n >= 8192).  Per chunk and block it writes
 # the coordinate differences and r^2 into preallocated buffers once; per
-# bandwidth it evaluates the kernel's profile of r^2 into one reused buffer
-# (for the Gaussian, one in-place multiply and one in-place exp), so each pass
-# reads buffers of at most 512 KiB that stay in cache.  Each point's sum over
-# the block is added to a running (bandwidth, term, point) total: a row sum
-# for s = 0, and for a derivative one dot product of the row with each of the
-# Gaussian's Hermite monomials.  The Hermite coefficients and 1/(n h^(d+|s|))
-# are applied once to the totals.  A block of 8 Ki keeps every dot product
-# below the 10 000 entries above which OpenBLAS splits one over threads, so
-# the bytes do not depend on the BLAS thread count.
+# bandwidth it evaluates the kernel's profile of r^2 into one reused buffer,
+# so each pass reads buffers of at most 512 KiB that stay in cache.  For the
+# Gaussian that is one in-place multiply and one in-place exp of
+# -r^2 / 2h^2: its constant K(0) is applied to the totals, as on the lattice
+# path.  Each point's sum over the block is added to a running (bandwidth,
+# term, point) total: a row sum for s = 0, and for a derivative one dot
+# product of the row with each of the Gaussian's Hermite monomials.  The
+# Hermite coefficients, K(0) and 1/(n h^(d+|s|)) are applied once to the
+# totals.  A block of 8 Ki keeps every dot product below the 10 000 entries
+# above which OpenBLAS splits one over threads, so the bytes do not depend on
+# the BLAS thread count.
+#
+# With more than one block (n > 8192) the direct loop skips the blocks beyond
+# the kernel's reach R = Kernel.reach (bandwidths).  It orders the sample once
+# into 1024 equal strips of the sample's own x_0 range (a stable radix sort of
+# uint16 strip ids), keeps the blocks at fixed positions in that order, and
+# takes the evaluation points in x_0 order.  Per chunk, block and bandwidth a
+# point adds its row sum over the block only when the block's x_0 range comes
+# within R h (plus a few ulps) of the point's x_0; a block that no point of
+# the chunk reaches at any bandwidth is not computed.  Whether a point takes
+# a block depends on the point, h and the sample alone, its row sums do not
+# depend on the other rows of its chunk, and its blocks are added in one
+# fixed order, so batch and pointwise evaluation still agree bit for bit.
+# With one block the sample keeps its given order and nothing is skipped.
+#
+# A compact kernel vanishes beyond R, so its skip is exact.  A skipped
+# Gaussian pair has |t| > 10 for t = (x - X_i) / h.  There |He_k(u)| <=
+# (|u| + sqrt k)^k (bound each coefficient k! / (m! (k-2m)! 2^m) by
+# C(k, 2m) k^m), so |D^s K(t)| <= (|t| + sqrt|s|)^|s| exp(-|t|^2 / 2) K(0),
+# which decreases in |t| beyond 10 while |s| <= 261.  At most n pairs are
+# skipped and the sum is divided by n h^(d+|s|), so each value of
+# D^s p-hat_h moves by at most
+#     (10 + sqrt|s|)^|s| e^-50 K(0) / h^(d+|s|),
+# which is 1.93e-22 K(0) / h^d at s = 0 and lies below the cruder
+# (10 + |s|)^|s| e^-50 K(0) / h^(d+|s|).
 #
 # The product-lattice path serves the Gaussian in d = 2 when the grid has
 # fewer distinct coordinates than points, sum_j |unique(X[:, j])| < M, as
@@ -42,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ReferenceDistribution
-from .kernels import Kernel, MultiIndex, _gaussian_deriv_monomials
+from .kernels import Kernel, MultiIndex, _gaussian_deriv_monomials, _whole
 
 __all__ = [
     "EvalGrid",
@@ -115,9 +141,10 @@ class BandwidthGrid:
         if n_points is None:
             decades = math.log10(h_max / l_n) if h_max > l_n else 0.0
             n_points = max(1, int(math.ceil(decades * points_per_decade)) + 1)
+        n_points = _whole(n_points, "n_points", 1)
         if n_points == 1:
             return cls(np.array([l_n]))
-        return cls(np.geomspace(l_n, h_max, int(n_points)))
+        return cls(np.geomspace(l_n, h_max, n_points))
 
     @classmethod
     def single(cls, h: float) -> "BandwidthGrid":
@@ -126,7 +153,7 @@ class BandwidthGrid:
 
 def make_eval_grid(dist: ReferenceDistribution, target_size: int) -> EvalGrid:
     """Lattice on the support plus the distribution's candidate sup points."""
-    pts, covering = dist.lattice(int(target_size))
+    pts, covering = dist.lattice(_whole(target_size, "target_size", 1))
     extra = dist.special_points()
     if extra.size:
         pts = np.vstack([pts, extra])
@@ -178,8 +205,20 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
             return _lattice_table(sample, kernel, h_values, coords, index, s)
     # D^s K = sum_e c_e t^e K with t = (x - X_i) / h; s = 0 is the one term e = 0, c = 1
     terms = _gaussian_deriv_monomials(s.orders)
-    cols = np.ascontiguousarray(sample.T)
+    gauss = kernel.form == "gaussian"
     width = min(n, _SAMPLE_BLOCK)
+    starts = range(0, n, width)
+    # one block keeps the given order and is never skipped
+    order, edges = slice(None), [(-np.inf, np.inf)]
+    if n > width:
+        # the sample in axis-0 strips, the points in x_0 order, and each block's x_0 range
+        sample = sample[_strip_order(sample[:, 0])]
+        order = np.argsort(X[:, 0], kind="stable")
+        edges = [(sample[c : c + width, 0].min(), sample[c : c + width, 0].max()) for c in starts]
+    X = X[order]
+    cols = np.ascontiguousarray(sample.T)
+    # a few ulps above reach * h, so no pair within reach is skipped
+    reach = kernel.reach * (1.0 + 2.0**-50) * h_values
     rows = max(1, _CHUNK_ENTRIES // width)
     # the coordinate differences, r^2 and the profile values of one chunk and block
     bufs = np.empty((d + 2, min(rows, m) * width))
@@ -187,7 +226,12 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
     sums = np.zeros((h_values.size, len(terms), m))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        for c_lo in range(0, n, width):
+        for (e_lo, e_hi), c_lo in zip(edges, starts):
+            # each point's x_0 distance to the block; points are in x_0 order, so those
+            # within a reach form one run of rows
+            gap = np.maximum(e_lo - X[lo:hi, 0], X[lo:hi, 0] - e_hi)
+            if gap.min() > reach.max():
+                continue
             c_hi = min(c_lo + width, n)
             k, w = hi - lo, c_hi - c_lo
             *diff, r2, vals = (b[: k * w].reshape(k, w) for b in bufs)
@@ -202,23 +246,42 @@ def kde_table(sample, kernel: Kernel, h_values, X, s=None) -> np.ndarray:
                 r2 += np.square(dj, out=vals)
             r2_max = r2.max()
             for i, h in enumerate(h_values):
+                near = np.flatnonzero(gap <= reach[i])
+                if not near.size:
+                    continue
+                r_lo, r_hi = near[0], near[-1] + 1
+                q, v = r2[r_lo:r_hi], vals[r_lo:r_hi]
                 # pairs beyond the negligible radius are evaluated at it; the clamp is
                 # skipped when no pair of the block is that far, which changes nothing
                 far = kernel.negligible_r2 * h * h
-                kernel.profile_sq(r2 if r2_max <= far else np.minimum(r2, far, out=vals), h, out=vals)
+                if r2_max > far:
+                    q = np.minimum(q, far, out=v)
+                if gauss:
+                    # exp(-r^2 / 2h^2) alone: K(0) is applied to the totals
+                    np.exp(np.multiply(q, -0.5 / (h * h), out=v), out=v)
+                else:
+                    kernel.profile_sq(q, h, out=v)
                 for part, mono in zip(sums[i], monos):
                     if mono is None:
-                        part[lo:hi] += vals.sum(axis=1)
+                        part[lo + r_lo : lo + r_hi] += v.sum(axis=1)
                     else:
-                        for r in range(k):
+                        for r in range(r_lo, r_hi):
                             part[lo + r] += np.dot(vals[r], mono[r])
     out = np.empty((h_values.size, m))
+    k0 = kernel.sup_norm if gauss else 1.0
     for i, h in enumerate(h_values):
         acc = 0.0
         for (exps, coef), part in zip(terms, sums[i]):
             acc = acc + coef / h ** sum(exps) * part
-        out[i] = acc / (n * h ** (d + s.order))
+        out[i, order] = acc * k0 / (n * h ** (d + s.order))
     return out
+
+
+def _strip_order(x0: np.ndarray) -> np.ndarray:
+    """The sample's stable order by 1024 equal strips of its own x_0 range: a radix sort of uint16 strip ids."""
+    lo = x0.min()
+    ids = np.minimum((x0 - lo) / ((x0.max() - lo) or 1.0) * 1024.0, 1023.0).astype(np.uint16)
+    return np.argsort(ids, kind="stable")
 
 
 def _lattice_table(sample, kernel: Kernel, h_values, coords, index, s: MultiIndex) -> np.ndarray:

@@ -189,10 +189,16 @@ class Kernel:
     into ``out`` when given, which may be r2 itself, and returned),
     ``radial(r)`` (the same profile as a float function of the distance in
     bandwidths, equal bit for bit to ``float(profile(r))``, which None
-    defaults to), ``lipschitz`` (None where K has none) and ``negligible_r2``
-    (below).  They are normally supplied through the factory classmethods
-    :meth:`gaussian`, :meth:`epanechnikov`, :meth:`uniform`,
+    defaults to), ``lipschitz`` (None where K has none), ``negligible_r2``
+    (below) and ``reach``.  They are normally supplied through the factory
+    classmethods :meth:`gaussian`, :meth:`epanechnikov`, :meth:`uniform`,
     :meth:`triangular` and :meth:`custom_radial`.
+
+    ``reach`` is the radius, in bandwidths, beyond which kde_table skips a
+    sample block.  It is the support radius of a compact kernel (1 for the
+    built-ins, custom_radial's ``support_radius``), where the skip is exact;
+    10 for the Gaussian, whose skipped pairs each weigh below exp(-50) K(0)
+    (kde.py states the bound); and inf, which skips nothing, otherwise.
     """
 
     def __init__(
@@ -203,6 +209,7 @@ class Kernel:
         radial: Callable[[float], float] | None,
         lipschitz: float | None,
         negligible_r2: float = math.inf,
+        reach: float = math.inf,
     ):
         self.form = form
         self.dim = _whole(dim, "dim", 1)
@@ -216,6 +223,7 @@ class Kernel:
         # farther pairs at this radius, which keeps exp out of its underflow
         # range, where it runs about ten times slower.
         self.negligible_r2 = float(negligible_r2)
+        self.reach = float(reach)
 
     def __repr__(self):
         return f"Kernel(form={self.form!r}, dim={self.dim})"
@@ -237,7 +245,7 @@ class Kernel:
         # |grad K| = ||x|| K(x), maximized on the unit sphere.
         lip = norm * math.exp(-0.5)
         # beyond r^2 = 1200 the profile is below exp(-600) * K(0) ~ 2.7e-261 * K(0)
-        return cls("gaussian", dim, profile_sq, radial, lip, negligible_r2=1200.0)
+        return cls("gaussian", dim, profile_sq, radial, lip, negligible_r2=1200.0, reach=10.0)
 
     @classmethod
     def epanechnikov(cls, dim: int) -> "Kernel":
@@ -252,7 +260,7 @@ class Kernel:
             u = 1.0 - r * r
             return (u if u > 0.0 else 0.0) * _c
 
-        return cls("epanechnikov", dim, profile_sq, radial, 2.0 * c)
+        return cls("epanechnikov", dim, profile_sq, radial, 2.0 * c, reach=1.0)
 
     @classmethod
     def uniform(cls, dim: int) -> "Kernel":
@@ -266,7 +274,7 @@ class Kernel:
         def radial(r, _c=c):
             return _c if r * r <= 1.0 else 0.0
 
-        return cls("uniform", dim, profile_sq, radial, None)
+        return cls("uniform", dim, profile_sq, radial, None, reach=1.0)
 
     @classmethod
     def triangular(cls, dim: int) -> "Kernel":
@@ -281,7 +289,7 @@ class Kernel:
             u = 1.0 - math.sqrt(r * r)
             return (u if u > 0.0 else 0.0) * _c
 
-        return cls("triangular", dim, profile_sq, radial, c)
+        return cls("triangular", dim, profile_sq, radial, c, reach=1.0)
 
     @classmethod
     def custom_radial(
@@ -295,7 +303,9 @@ class Kernel:
 
         The profile is probed on [0, support_radius or 50] to check that it is
         nonnegative, nonincreasing and finite at 0.  Without a given Lipschitz
-        constant the kernel has none, as the uniform kernel has none.
+        constant the kernel has none, as the uniform kernel has none.  A given
+        support_radius is a claim that the profile vanishes beyond it: it
+        becomes the kernel's reach, so kde_table skips farther pairs.
         """
         grid = np.linspace(0.0, support_radius if support_radius else 50.0, 20001)
         vals = np.asarray(profile(grid), dtype=float)
@@ -313,7 +323,7 @@ class Kernel:
             out[...] = vals
             return out
 
-        return cls("custom_radial", dim, profile_sq, None, lipschitz)
+        return cls("custom_radial", dim, profile_sq, None, lipschitz, reach=support_radius or math.inf)
 
     # -- evaluation -------------------------------------------------------
 

@@ -1063,6 +1063,10 @@ def test_invalid_parameters():
         UnboundedBall(2.5, 1.0)
     with pytest.raises(ValueError, match="manifold_dim must be an integer, got 1.5"):
         UniformSphere(1.5)
+    with pytest.raises(ValueError, match="n must be an integer, got 100.5"):
+        UniformCube(2).sample(100.5, 1)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        UniformCube(2).sample(100, 1.5)
 
 
 def test_sphere_lattice_needs_manifold_dim_at_most_2():

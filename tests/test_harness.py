@@ -217,6 +217,10 @@ class TestConfig:
             ({"mode": "bounds", "bounds": {**_BOUNDS, "n": 100000.5}}, "n must be an integer, got 100000.5"),
             ({"mode": "bounds", "bounds": {**_BOUNDS, "d": True}}, "d must be an integer, got True"),
             ({"mode": "bounds", "bounds": {**_BOUNDS, "s_order": 0.5}}, "s_order must be an integer, got 0.5"),
+            ({**_COVERING_CFG, "covering": {"h_values": 0.2}}, "covering.h_values must be a list of numbers, got 0.2"),
+            ({**_COVERING_CFG, "covering": {"eta_fracs": 0.1}}, "covering.eta_fracs must be a list of numbers, got 0.1"),
+            ({**_VOLDIM_CFG, "voldim": {"radii": 0.2}}, "voldim.radii must be a list of numbers, got 0.2"),
+            ({**_VOLDIM_CFG, "voldim": {"window": 0.2}}, "voldim.window must be a list of numbers, got 0.2"),
         ],
         ids=["base_seed_negative", "base_seed_string", "base_seed_fraction", "replicates_fraction", "replicates_bool",
              "n_list_fraction", "x_grid.target_size_fraction", "h_grid.n_points_fraction", "h_grid.points_per_decade_fraction",
@@ -224,7 +228,8 @@ class TestConfig:
              "covering.grid_size_fraction", "covering.q_size_zero", "distribution.dim_fraction", "distribution.dim_bool",
              "distribution.dim_string", "unbounded_ball.dim_fraction", "uniform_sphere.manifold_dim_fraction",
              "kernel.dim_fraction", "kernel.dim_bool", "kernel.dim_string", "kernel.form_missing",
-             "bounds.n_fraction", "bounds.d_bool", "bounds.s_order_fraction"],
+             "bounds.n_fraction", "bounds.d_bool", "bounds.s_order_fraction", "covering.h_values_scalar",
+             "covering.eta_fracs_scalar", "voldim.radii_scalar", "voldim.window_scalar"],
     )
     def test_value_the_run_would_change_rejected(self, cfg, message):
         # each of these validated once, and the run then truncated it, failed
