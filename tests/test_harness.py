@@ -835,34 +835,34 @@ _GOLDEN_SHA256 = {
         "summary.csv": "cef008439a24267e69ccd6189437b7509adf25d22f9756bdb424383ab8bd66b7",
     },
     "ball_s01": {
-        "replicates.csv": "21abd04ab452727dace5ed4b730b894980d6db947a9d1eddba33fcc58711f60f",
-        "report.json": "f19144476d871b365a42e06dfa628a640e643437288cdb1b8dee2d2378194565",
-        "summary.csv": "2798137b0762ed2e41c4a06cf7a0f6911b3237edf9d95c9c77cc478244c0792b",
+        "replicates.csv": "5fb92191fa2cc16c7b4f2577d4b468948ce7b60aa9bbcf0653b013faae63c03c",
+        "report.json": "b7c5d13203de72d5926e132722196393e27465ba124aa8c0a36bde01218a445b",
+        "summary.csv": "18ff68165a62992036f0a848fdb9a1f7545cbfd9b77015769d621a7bc242e978",
     },
     "bounds_sigma2": {
         "bounds.json": "5cbfa4892caf49d25bfb1ad7cb2a88ff2deaa5c7a3fcfdf74f8f7a9056f9c0eb",
     },
     "circle": {
-        "replicates.csv": "a51eecb69ea1c345c8795d7ecd6743b7db589c7e91bd5cf64aa1b6db3d75d989",
-        "report.json": "97a35637b3b19027daf9c01ea57c880d9897adc294dfe928c4c884fe26c61811",
-        "summary.csv": "7a090f915a9d9a66c1d5130f68b7c71381f04fcbc1e8ce6feea11b74ca7d6bdd",
+        "replicates.csv": "44e1f969de196a9e14d4787cf961fde05d188996caef42046598d76a5602a29c",
+        "report.json": "0346b422e23da32369285b08845fd261688995e19d7cf344cab83bb429901b91",
+        "summary.csv": "c6d7b6be38fe823abd5685ad29404f800b9468de487488658e55129b4e05bdda",
     },
     "covering": {
         "covering.csv": "ffdd2e77c8ec7fe798d54d44da47dc28fb49165b43d4f05115d39297e5d4f97f",
         "covering.json": "a5eba4bf9627bdb966618cd089cfcee0b96e49e5024ec42ae5a569a607c527ae",
     },
     "cube1_fit": {
-        "fit_h.json": "69f09f64c56bb8a4537a7f7cfaf7a5b6e81e154146f92f4f527da6669383158b",
-        "plot_h.csv": "d9f25ab805f65e103d8ce9bf97183b46c52dc34eadc7c12cc50a68752bd39164",
+        "fit_h.json": "af40181310a0817534422fbaa4df03f542e6e76f6f600dba73384dbe2944aa35",
+        "plot_h.csv": "490dfef8e67d1495cbc1dac022476174e89269ca1fe343277d98d74fdf5a9223",
         "plot_h.svg": "882408d6332daa5a39ba04e5c06254ea31a9f919f2a381feaaf3c263bd6ffe66",
-        "replicates.csv": "16d8230d0ae7b4828c20ae845470365a73756eba1dcc4e5a407e4ab9606412c7",
-        "report.json": "a36fbaf46f0e5fe7612acf2fcd79830b9058065d561fbef818fa32f00742212c",
-        "summary.csv": "f6e417ecb94b1558af572d08cbd67c1277e910a79d93cd00470ebf88ed9f7b8c",
+        "replicates.csv": "11a0a7bfb56ae09feff64130a6f29b29124381ff28f0c2f271cb942ff75ca9f0",
+        "report.json": "2e18cfe62def36d14057c3ee912bf24108615302266438134e14e9261e6488a5",
+        "summary.csv": "343a2e8296afd9724e2d93bfde31024902425c941ec311c95cb99589515682f4",
     },
     "cube1_s1": {
-        "replicates.csv": "fe17ea2bb6001a3930d32b32653a7cea9b13353f8b7d004e70693063db0cd1f3",
-        "report.json": "af89bfd9e231cee7d7431d77e922509c1a8f3d0186bd940ea42d165767f0a2c9",
-        "summary.csv": "32a49a2a41cc6354aa0745705cdde7a989ede68433bcedca5dee40e676e33262",
+        "replicates.csv": "a9e1a89f45c290b0ccc67796df4c547e2445d597f6d3cc4d75ef1961f3ed9c18",
+        "report.json": "fd35354df538f031791948786f75461cc418a9776eb75a7d8038cc8da5fa9e7f",
+        "summary.csv": "e0b09a1eb0957668a8cd91bf1424c3645bff1ae9e51fad9b25d812106636d096",
     },
     "cube2": {
         "replicates.csv": "1fc082a251082fe50b5dd5fa35f38efcbde9b7f6c8010859b39b43541550f03a",
@@ -913,14 +913,14 @@ _GOLDEN_SHA256 = {
         "moments.json": "87b4198fdedaa7530a98d435f5707427f1326cb683da6dceac10a0127a3aa638",
     },
     "point_masses": {
-        "replicates.csv": "3e2fdb585bed9bd947a8af62d65b458297598df753003fa606460d8faec0621d",
-        "report.json": "fdd21dcce1742a58e93fb101ed26965a02f85b5225d4e62b96d0493c88c6dd04",
-        "summary.csv": "cb974d746a363d0e93b60af1ab187d7f0c0469292727f2e4cff6c1b1477bab9b",
+        "replicates.csv": "ec416fb47f8681e5685272899c00ecdd8a71c00951eb5498e5a9b4b76c7698e7",
+        "report.json": "90130d6c7e2789284c5c0371c2aaeefafdca5bff082470bb9484c762c13db61f",
+        "summary.csv": "46f55305781687372ed56241450f56d3d2513253c0e7f055414d3e292810837d",
     },
     "sphere2": {
-        "replicates.csv": "923dcbbf794c693b4f4b13713b3a78042aa0c1d3f389843a769b871dc7ef9512",
-        "report.json": "3dc29dbb23ded5051ac3124c341d385ea235b9b5f057064e5fb0f2f494707698",
-        "summary.csv": "6bbd031277e67bbeb2e707289e8585bfff40c38bab050e653ae9ddb61cd14fc5",
+        "replicates.csv": "ef65ece2d6dc1c1d7b2574f7715a291a9fd909a92ff94e3756c9e911e9273473",
+        "report.json": "1965e57254b64d7ee471c6bb89207beecc7cb7aaac0c64824a55b70dd7bef765",
+        "summary.csv": "1c37158bf589c2b7ace39c44f089395bc1455a75039c7c79e5ea6b9c247c8a26",
     },
     "voldim_both": {
         "sweep_empirical.csv": "485019e0efe695e08f74d7019c9a381588686a19e65f7aae7492b45dbb27069d",
