@@ -128,57 +128,23 @@ class TestBatchConsistency:
             for j in range(X.shape[0]):
                 assert table[i, j] == kde_deriv_eval(sample, GAUSS2, (1, 0), float(h), X[j])
 
-
-# n > 8192: several sample blocks, and h small enough that points skip blocks beyond the kernel's reach
-@pytest.mark.parametrize(
-    "kern, s",
-    [(GAUSS1, (0,)), (GAUSS1, (1,)), (GAUSS2, (0, 0)), (GAUSS2, (1, 0)), (Kernel.epanechnikov(2), None)],
-    ids=["gauss1", "gauss1_s1", "gauss2", "gauss2_s10", "epanechnikov2"],
-)
-def test_batch_equals_pointwise_with_skipped_blocks(kern, s):
-    d = kern.dim
-    rng = np.random.default_rng(5 + d)
-    sample = rng.random((20_000, d))
-    # random points (no product lattice), some outside the sample's range, and one far away
-    X = np.vstack([rng.random((11, d)) * 1.2 - 0.1, np.full(d, 3.0)])
-    hs = np.array([0.005, 0.01, 0.05, 0.3])
-    table = kde_table(sample, kern, hs, X, s=s)
-    for i, h in enumerate(hs):
-        for j in range(X.shape[0]):
-            assert table[i, j] == kde_deriv_eval(sample, kern, s, float(h), X[j])
-
-
-@pytest.mark.parametrize("h", [0.25, 0.3])
-def test_uniform_kernel_keeps_closed_ball_at_block_edges(h):
-    # blocks of 8192 after the strip order: block 0 ends at -h, block 1 starts at +h,
-    # so x = 0 is exactly h from both blocks' x_0 ranges and must take both points
-    far = np.linspace(3.0, 4.0, 8191)
-    sample = np.concatenate([-far, [-h, h], far])[:, None]
-    kern = Kernel.uniform(1)
-    X = np.array([[0.0], [2.0 * h]])
-    table = kde_table(sample, kern, [h], X)
-    assert table[0, 0] == 2 * kern.sup_norm / (sample.shape[0] * h)
-    assert table[0, 1] == kern.sup_norm / (sample.shape[0] * h)
-    for j in range(X.shape[0]):
-        assert table[0, j] == kde_eval(sample, kern, h, X[j])
-
-
-@pytest.mark.parametrize("s", [(0,), (1,), (2,)])
-def test_gaussian_skipped_mass_within_bound(s):
-    # block 0 holds 8192 points just beyond 10h of x = 0, block 1 far points; x = 0
-    # skips both, so its value is 0 while the direct sum is positive and within the
-    # bound (10 + sqrt|s|)^|s| e^-50 K(0) / h^(d+|s|) stated in kde.py
-    h = 0.01
-    near = np.linspace(10.0 * h * (1.0 + 1e-9), 10.0 * h * 1.001, 8192)
-    sample = np.concatenate([near, np.linspace(5.0, 6.0, 8192)])[:, None]
-    X = np.array([[0.0], [0.1]])
-    got = kde_table(sample, GAUSS1, [h], X, s=s)[0]
-    want = _direct_gauss_table(sample, [h], X, s)[0]
-    assert got[0] == 0.0
-    bound = (10.0 + math.sqrt(sum(s))) ** sum(s) * math.exp(-50.0) * GAUSS1.sup_norm / h ** (1 + sum(s))
-    assert 0.0 < abs(want[0]) <= bound
-    # x = 0.1 reaches block 0 and takes all of it
-    assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+    # n > 8192: several sample blocks, and h small enough that points skip blocks beyond the kernel's reach
+    @pytest.mark.parametrize(
+        "kern, s",
+        [(GAUSS1, (0,)), (GAUSS1, (1,)), (GAUSS2, (0, 0)), (GAUSS2, (1, 0)), (Kernel.epanechnikov(2), None)],
+        ids=["gauss1", "gauss1_s1", "gauss2", "gauss2_s10", "epanechnikov2"],
+    )
+    def test_batch_equals_pointwise_with_skipped_blocks(self, kern, s):
+        d = kern.dim
+        rng = np.random.default_rng(5 + d)
+        sample = rng.random((20_000, d))
+        # random points (no product lattice), some outside the sample's range, and one far away
+        X = np.vstack([rng.random((11, d)) * 1.2 - 0.1, np.full(d, 3.0)])
+        hs = np.array([0.005, 0.01, 0.05, 0.3])
+        table = kde_table(sample, kern, hs, X, s=s)
+        for i, h in enumerate(hs):
+            for j in range(X.shape[0]):
+                assert table[i, j] == kde_deriv_eval(sample, kern, s, float(h), X[j])
 
 
 def _direct_gauss_table(sample, h_values, X, s):
@@ -250,6 +216,24 @@ class TestGaussianTableVsDirectSums:
         self._check_lattice(name, 70_000, s, cols=np.r_[0:m:7, m])
 
 
+@pytest.mark.parametrize("s", [(0,), (1,), (2,)])
+def test_gaussian_skipped_mass_within_bound(s):
+    # block 0 holds 8192 points just beyond 10h of x = 0, block 1 far points; x = 0
+    # skips both, so its value is 0 while the direct sum is positive and within the
+    # bound (10 + sqrt|s|)^|s| e^-50 K(0) / h^(d+|s|) stated in kde.py
+    h = 0.01
+    near = np.linspace(10.0 * h * (1.0 + 1e-9), 10.0 * h * 1.001, 8192)
+    sample = np.concatenate([near, np.linspace(5.0, 6.0, 8192)])[:, None]
+    X = np.array([[0.0], [0.1]])
+    got = kde_table(sample, GAUSS1, [h], X, s=s)[0]
+    want = _direct_gauss_table(sample, [h], X, s)[0]
+    assert got[0] == 0.0
+    bound = (10.0 + math.sqrt(sum(s))) ** sum(s) * math.exp(-50.0) * GAUSS1.sup_norm / h ** (1 + sum(s))
+    assert 0.0 < abs(want[0]) <= bound
+    # x = 0.1 reaches block 0 and takes all of it
+    assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+
+
 def _direct_compact_table(sample, form, h_values, X):
     """p-hat by a double loop over (h, x) for the Epanechnikov or the uniform kernel in d = 2."""
     n = sample.shape[0]
@@ -304,6 +288,20 @@ class TestCompactBoundaries:
         # the points at distance exactly h are inside the closed balls of the uniform and custom kernels
         if kern.form in ("uniform", "custom_radial"):
             assert np.count_nonzero(profile(r / h)) == 6
+
+    @pytest.mark.parametrize("h", [0.25, 0.3])
+    def test_closed_ball_points_on_block_edges(self, h):
+        # blocks of 8192 after the strip order: block 0 ends at -h, block 1 starts at +h,
+        # so x = 0 is exactly h from both blocks' x_0 ranges and must take both points
+        far = np.linspace(3.0, 4.0, 8191)
+        sample = np.concatenate([-far, [-h, h], far])[:, None]
+        kern = Kernel.uniform(1)
+        X = np.array([[0.0], [2.0 * h]])
+        table = kde_table(sample, kern, [h], X)
+        assert table[0, 0] == 2 * kern.sup_norm / (sample.shape[0] * h)
+        assert table[0, 1] == kern.sup_norm / (sample.shape[0] * h)
+        for j in range(X.shape[0]):
+            assert table[0, j] == kde_eval(sample, kern, h, X[j])
 
 
 # the cube2 lattice takes the product-lattice path, the circle the direct one
